@@ -3,8 +3,10 @@
 Measures the headline optimisations of the performance architecture
 (DESIGN.md):
 
-- fused cross-design step (one union-graph GNN sweep + one stacked CNN
-  forward) vs. the legacy per-design loop, at the default dataset scale;
+- fused cross-design feature extraction (one union-graph GNN sweep +
+  one stacked CNN forward, ``FusedDesignBatch.path_features_from``) vs.
+  a bench-local per-design loop of ``model.path_features``, forward +
+  backward, at the default dataset scale;
 - the graph-compiled step (trace once, replay a flat preallocated numpy
   schedule — DESIGN.md §11) vs. the eager fused step, in float64
   (bit-exact) and float32;
@@ -31,7 +33,10 @@ import pytest
 
 from repro.experiments import build_dataset
 from repro.model import TimingPredictor
-from repro.train import OursTrainer, ParallelTrainer, TrainConfig
+from repro.nn import concatenate
+from repro.train import (FusedDesignBatch, OursTrainer, ParallelTrainer,
+                         TrainConfig)
+from repro.train.batching import sample_endpoints
 
 from .conftest import bench_seed, record
 
@@ -83,11 +88,21 @@ def compile_speedup_floor() -> float:
 #: of each per round, so every variant sees the same noise windows and
 #: the ratios stay meaningful when a neighbour steals the CPU.
 VARIANTS = (
-    ("looped", {"fused": False, "compile": False}),
-    ("fused", {"fused": True, "compile": False}),
-    ("compiled", {"fused": True, "compile": True, "dtype": "float64"}),
-    ("compiled_f32", {"fused": True, "compile": True, "dtype": "float32"}),
+    ("fused", {"compile": False}),
+    ("compiled", {"compile": True, "dtype": "float64"}),
+    ("compiled_f32", {"compile": True, "dtype": "float32"}),
 )
+
+
+def features_speedup_floor() -> float:
+    """Required fused-vs-per-design feature speedup (per-pass minima).
+
+    The per-design loop runs the same fused sweep kernel and the same
+    batch-linear CNN, so fusion only saves per-design dispatch:
+    1.1-1.2x measured on a 2-CPU box.  The full run requires the fused
+    pass to be no slower; smoke runs allow short-window noise.
+    """
+    return 0.9 if smoke_mode() else 1.0
 
 
 def _blas_vendor() -> str:
@@ -122,7 +137,6 @@ def _step_measurements(dataset):
         stats[f"{key}_seconds"] = min(times[key])
         stats[f"{key}_mean"] = float(np.mean(times[key]))
         stats[f"{key}_std"] = float(np.std(times[key]))
-    stats["speedup"] = stats["looped_seconds"] / stats["fused_seconds"]
     # Mean-based: the eager graph's per-step allocation cost (the thing
     # the compiled schedule removes) lands on typical steps, not the
     # luckiest one — see timed_steps().  The min-based ratio is kept
@@ -142,8 +156,63 @@ def _step_measurements(dataset):
     stats["max_rel_loss_dev_f32"] = float(max(
         abs(a - b) / max(abs(b), 1e-12)
         for a, b in zip(losses["compiled_f32"], losses["fused"])))
+    stats.update(_features_measurements(dataset))
     stats["timed_steps"] = timed_steps()
     stats["statistic"] = "min"
+    return stats
+
+
+def _looped_path_features(model, designs, subsets):
+    """Bench-local reference: ``model.path_features`` design by design."""
+    parts = [model.path_features(d, s) for d, s in zip(designs, subsets)]
+    return tuple(concatenate([p[i] for p in parts], axis=0)
+                 for i in range(3))
+
+
+def _features_measurements(dataset):
+    """Fused vs per-design feature extraction, forward + backward.
+
+    Both variants see the same endpoint subsets every round and are
+    timed interleaved, one pass each, so the ratio isolates the fusion
+    (one union-graph sweep and one stacked CNN pass instead of one per
+    design) from machine noise.  The fused pass includes the per-step
+    row/image gather the trainer does before it.
+    """
+    model = TimingPredictor(dataset.in_features, seed=bench_seed())
+    designs = list(dataset.train)
+    batch = FusedDesignBatch(designs)
+    rng = np.random.default_rng(bench_seed())
+
+    def fused(subsets):
+        return batch.path_features_from(
+            model, batch.merged_endpoint_rows(subsets),
+            batch.stacked_path_images(subsets))
+
+    def looped(subsets):
+        return _looped_path_features(model, designs, subsets)
+
+    variants = {"fused": fused, "looped": looped}
+
+    def one_pass(fn, subsets):
+        model.zero_grad()
+        start = time.perf_counter()
+        u, u_n, u_d = fn(subsets)
+        ((u_n * u_n).sum() + (u_d * u_d).sum()).backward()
+        return time.perf_counter() - start
+
+    times = {key: [] for key in variants}
+    for round_index in range(timed_steps() + 1):
+        subsets = [sample_endpoints(d, 48, rng) for d in designs]
+        for key, fn in variants.items():
+            seconds = one_pass(fn, subsets)
+            if round_index:   # round 0 warms the level-plan memos
+                times[key].append(seconds)
+    stats = {}
+    for key in variants:
+        stats[f"{key}_features_seconds"] = min(times[key])
+        stats[f"{key}_features_mean"] = float(np.mean(times[key]))
+    stats["features_speedup"] = (stats["looped_features_seconds"]
+                                 / stats["fused_features_seconds"])
     return stats
 
 
@@ -170,7 +239,7 @@ def _parallel_measurements(dataset):
     def make(cls, **kwargs):
         model = TimingPredictor(dataset.in_features, seed=bench_seed())
         cfg = TrainConfig(seed=bench_seed(), holdout_fraction=0.0,
-                          fused=True, compile=True, dtype="float64")
+                          compile=True, dtype="float64")
         return cls(model, designs, cfg, **kwargs)
 
     trainers = {"single": make(OursTrainer)}
@@ -264,7 +333,10 @@ def _render(measurements) -> str:
             f"  {key:13s} {m[key + '_seconds']:.3f} s/step "
             f"(mean {m[key + '_mean']:.3f} +- {m[key + '_std']:.3f})")
     lines += [
-        f"  fused vs looped        {m['speedup']:.2f}x (min)",
+        "  features fwd+bwd       "
+        f"fused {m['fused_features_seconds']:.3f} s, "
+        f"per-design loop {m['looped_features_seconds']:.3f} s",
+        f"  fused vs per-design    {m['features_speedup']:.2f}x (min)",
         f"  compiled vs fused      {m['compile_speedup']:.2f}x (mean), "
         f"{m['compile_speedup_min']:.2f}x (min)",
         f"  compiled-f32 vs fused  {m['compile_f32_speedup']:.2f}x (mean)",
@@ -297,10 +369,11 @@ def _render(measurements) -> str:
     return "\n".join(lines)
 
 
-def test_fused_step_beats_looped(measurements, results_dir):
+def test_fused_features_beat_per_design_loop(measurements, results_dir):
     record(results_dir, "bench_train", _render(measurements))
     BENCH_JSON.write_text(json.dumps(measurements, indent=2) + "\n")
-    assert measurements["train_step"]["speedup"] >= 2.0
+    assert (measurements["train_step"]["features_speedup"]
+            >= features_speedup_floor())
 
 
 def test_compiled_step_beats_fused(measurements):
@@ -359,7 +432,7 @@ def test_fused_training_preserves_accuracy(dataset):
     from repro.train import r2_score
 
     model = TimingPredictor(dataset.in_features, seed=bench_seed())
-    cfg = TrainConfig(steps=60, seed=bench_seed(), fused=True)
+    cfg = TrainConfig(steps=60, seed=bench_seed())
     OursTrainer(model, dataset.train, cfg).fit()
     scores = [r2_score(d.labels, model.predict(d)) for d in dataset.test]
     assert np.mean(scores) > 0.0

@@ -15,9 +15,11 @@ from the machine.
 
 Checks, each printed with a PASS/FAIL verdict:
 
-- ``train_step.speedup`` (fused vs looped, per-step minima) must stay
-  above ``baseline * (1 - tolerance)`` — a breach means the fused
-  step regressed relative to the per-design loop;
+- ``train_step.features_speedup`` (fused ``path_features_from`` vs a
+  per-design loop of ``model.path_features``, forward + backward,
+  per-pass minima) must stay above ``baseline * (1 - tolerance)`` — a
+  breach means the fused extraction regressed relative to featurising
+  design by design;
 - ``train_step.compile_speedup_min`` (compiled vs fused pure-compute
   floors; ~1.0 by construction, since the compiled step runs the same
   numpy math minus the graph bookkeeping) must stay above
@@ -50,7 +52,7 @@ import json
 import sys
 
 #: Within-run ratio fields gated against the baseline (higher = better).
-GATED_RATIOS = ("speedup", "compile_speedup_min")
+GATED_RATIOS = ("features_speedup", "compile_speedup_min")
 
 #: Hard ceiling on the compiled-vs-eager float64 loss deviation.
 MAX_LOSS_DEV = 1e-12

@@ -1,9 +1,10 @@
 """Repo-specific correctness tooling: static lint + autograd audit.
 
-Two numerics paths (the legacy per-design kernels and the fused
-union-graph sweep) run over a hand-rolled autograd engine, where bugs
-corrupt results silently instead of crashing.  This package makes the
-checks that guard against that mechanical:
+Training and serving run over a hand-rolled autograd engine and its
+compiled replay (one implementation per op, eager and compiled sharing
+the raw numpy kernels), where bugs corrupt results silently instead of
+crashing.  This package makes the checks that guard against that
+mechanical:
 
 - :mod:`repro.check.rules` — the pluggable registry of AST lint rules
   enforcing repo invariants (stable digests instead of builtin

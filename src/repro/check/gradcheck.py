@@ -36,7 +36,6 @@ import numpy as np
 
 from ..nn import Tensor, no_grad
 from ..nn import functional as F
-from ..util import legacy_mode
 from .rules import Finding
 
 #: Ops audited in addition to the ``repro.nn.functional`` surface.
@@ -417,21 +416,22 @@ def _conv2d_fused_case():
             _conv_inputs(15))
 
 
-@case("conv2d", "legacy-einsum")
-def _conv2d_legacy_case():
-    def fn(x, weight, bias):
-        with legacy_mode():
-            return F.conv2d(x, weight, bias, stride=1, padding=1)
-
-    return fn, _conv_inputs(16)
-
-
 def _pool_input(seed: int, shape=(2, 2, 4, 4)) -> np.ndarray:
     """Pooling input with all pairwise gaps > 1e-4 (argmax-stable)."""
     rng = np.random.default_rng(seed)
     flat = np.arange(int(np.prod(shape)), dtype=np.float64)
     rng.shuffle(flat)
     return (flat * 1e-2).reshape(shape)
+
+
+@case("conv2d", "precomputed-cols")
+def _conv2d_cols_case():
+    # The serving engine's path: the unfold is handed in, not rebuilt.
+    def fn(x, weight, bias):
+        cols = F._im2col(x.data, (3, 3), 1, 1)
+        return F.conv2d(x, weight, bias, stride=1, padding=1, cols=cols)
+
+    return fn, _conv_inputs(16)
 
 
 @case("max_pool2d", "non-overlapping-fused")
@@ -444,15 +444,6 @@ def _max_pool_fused_case():
 def _max_pool_overlap_case():
     return (lambda x: F.max_pool2d(x, kernel=2, stride=1),
             {"x": _pool_input(18)})
-
-
-@case("max_pool2d", "legacy-scatter")
-def _max_pool_legacy_case():
-    def fn(x):
-        with legacy_mode():
-            return F.max_pool2d(x, kernel=2, stride=2)
-
-    return fn, {"x": _pool_input(19)}
 
 
 @case("avg_pool2d", "kernel2")

@@ -236,7 +236,6 @@ def cmd_train(args) -> int:
         elif args.target_node is not None:
             raise SystemExit("--target-node requires --nodes")
         config = TrainConfig(steps=args.steps, seed=args.seed,
-                             fused=not args.no_fused,
                              compile=not args.no_compile,
                              dtype=args.dtype,
                              checkpoint_every=args.checkpoint_every,
@@ -575,10 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass the on-disk design cache")
     p.add_argument("--cache-dir", default=None,
                    help="design cache root (default $REPRO_CACHE_DIR)")
-    p.add_argument("--no-fused", action="store_true",
-                   help="use the legacy per-design training loop")
     p.add_argument("--no-compile", action="store_true",
-                   help="run the fused step eagerly instead of the "
+                   help="run the training step eagerly instead of the "
                         "trace-once/replay compiled schedule "
                         "(bit-identical results, slower)")
     p.add_argument("--dtype", choices=["float64", "float32"],

@@ -18,9 +18,10 @@ model has not changed, and a separate prior-MLP forward per design.
   single levelised sweep + one stacked CNN forward, and hoists the
   transductive population-prior update out of the per-design loop into
   one batched prior-MLP forward;
-- the CNN runs through the forward-only numpy kernels of
-  :mod:`repro.infer.kernels`, and the *weight-independent* parts of a
-  cold extraction — the first conv layer's im2col columns and the
+- the CNN is the training model's own ``LayoutCNN.forward`` under
+  ``no_grad`` (one CNN forward for training and serving), and the
+  *weight-independent* parts of a cold extraction — the first conv
+  layer's im2col columns (handed to the CNN through ``cols=``) and the
   fused batch structure, both functions of the immutable design data
   alone — are memoised per design/design-set, so they survive weight
   updates that invalidate the feature cache.
@@ -41,6 +42,9 @@ The engine is **thread-safe and resident-process-safe** (the contract
 - predictions take a shared read lock and :meth:`swap_model` takes the
   write side, so a hot-reload can never interleave with an in-flight
   forward (requests see the old weights or the new, never a mix);
+  ``generation`` counts swaps under the same write lock, and every
+  :class:`Prediction` records the generation read under the read lock
+  its forward ran under;
 - the digest a cold extraction was computed under is re-checked before
   the feature-cache store, so a weight edit that bypasses
   ``swap_model`` can still never publish stale features.
@@ -55,26 +59,44 @@ import numpy as np
 from ..flow import DesignData
 from ..model import TimingPredictor
 from ..nn import Tensor, no_grad
+from ..nn.functional import Columns, _im2col
 from ..train.fused import FusedDesignBatch, slice_ranges
 from ..util import RWLock, timed
 from .cache import BoundedLRU, FeatureCache, FeatureTriple, weight_digest
-from .kernels import ColumnsTriple, cnn_forward, image_columns
 
 __all__ = ["InferenceEngine", "Prediction"]
 
 
-class Prediction:
-    """One design's serving result (arrays, not tensors)."""
+def _conv1_columns(model: TimingPredictor,
+                   images: np.ndarray) -> Columns:
+    """First-layer im2col columns of a path-image stack.
 
-    __slots__ = ("name", "node", "mean", "std", "num_endpoints")
+    Weight-independent (only the kernel *shape* matters), so the result
+    can be cached per design and reused across any number of model
+    updates.
+    """
+    conv1 = model.extractor.cnn.conv1
+    return _im2col(images, conv1.weight.data.shape[2:], conv1.stride,
+                   conv1.padding)
+
+
+class Prediction:
+    """One design's serving result (arrays, not tensors).
+
+    ``generation`` is the engine generation whose weights computed it.
+    """
+
+    __slots__ = ("name", "node", "mean", "std", "num_endpoints",
+                 "generation")
 
     def __init__(self, name: str, node: str, mean: np.ndarray,
-                 std: Optional[np.ndarray] = None) -> None:
+                 std: Optional[np.ndarray], generation: int) -> None:
         self.name = name
         self.node = node
         self.mean = mean
         self.std = std
         self.num_endpoints = int(mean.shape[0])
+        self.generation = generation
 
     def __repr__(self) -> str:
         flag = ", std" if self.std is not None else ""
@@ -99,16 +121,13 @@ class InferenceEngine:
         population before reading the prior — Equation (7)'s "all the
         timing paths on the target node" (matches ``predict()``'s
         default).
-    cache_columns:
-        Additionally memoise *weight-independent* preprocessing per
-        design: the CNN's first-layer im2col columns and (for
-        ``predict_many``) the union-graph batch structure.  Unlike the
-        feature cache these survive model updates — the inputs they
-        derive from are immutable flow outputs — but the columns are
-        ~9x the image stack in memory, so disable when serving a very
-        large design population from a small footprint.
     max_struct_entries, max_column_entries:
-        LRU bounds on the two weight-independent caches.  A resident
+        LRU bounds on the two weight-independent caches: the CNN's
+        first-layer im2col columns per design and (for
+        ``predict_many``) the union-graph batch structure per design
+        set.  Unlike the feature cache these survive model updates —
+        the inputs they derive from are immutable flow outputs — but
+        the columns are ~9x the image stack in memory.  A resident
         process serving many distinct design *sets* would otherwise
         keep one full union-graph batch per distinct request mix
         forever; evictions are counted in :meth:`stats`.
@@ -119,7 +138,6 @@ class InferenceEngine:
 
     def __init__(self, model: TimingPredictor, use_cache: bool = True,
                  transductive: bool = True,
-                 cache_columns: bool = True,
                  max_struct_entries: Optional[int] = 8,
                  max_column_entries: Optional[int] = 64,
                  cache_max_entries: Optional[int] = None) -> None:
@@ -128,7 +146,9 @@ class InferenceEngine:
             FeatureCache(max_entries=cache_max_entries) \
             if use_cache else None
         self.transductive = transductive
-        self.cache_columns = cache_columns
+        #: Number of models served so far: 1 for the constructor's,
+        #: bumped by :meth:`swap_model` under the write lock.
+        self.generation = 1
         #: (name, node) -> first-layer im2col columns of the design's
         #: path images (weight-independent; LRU-bounded).
         self._image_cols: BoundedLRU = BoundedLRU(max_column_entries)
@@ -147,16 +167,12 @@ class InferenceEngine:
             return weight_digest(self.model)
 
     def _columns_for(self, design: DesignData,
-                     images: np.ndarray) -> Optional[ColumnsTriple]:
-        """Cached first-layer columns for one design (None = uncached)."""
-        if not self.cache_columns:
-            return None
+                     images: np.ndarray) -> Columns:
+        """Cached first-layer columns for one design."""
         key = (design.name, design.node)
         cols = self._image_cols.get(key)
         if cols is None:
-            conv1 = self.model.extractor.cnn.conv1
-            cols = image_columns(images, conv1.weight.data,
-                                 conv1.stride, conv1.padding)
+            cols = _conv1_columns(self.model, images)
             self._image_cols.put(key, cols)
         return cols
 
@@ -181,9 +197,9 @@ class InferenceEngine:
                 images = design.path_image_stack()
                 u_graph = model.extractor.gnn(
                     design.graph, design.graph.endpoint_rows).data
-                u_layout = cnn_forward(
-                    model.extractor.cnn,
-                    images, cols=self._columns_for(design, images))
+                u_layout = model.extractor.cnn(
+                    Tensor(images),
+                    cols=self._columns_for(design, images)).data
                 triple = self._disentangle(u_graph, u_layout)
             # Store only if the weights are still the ones the triple
             # was computed under: a concurrent weight edit that slipped
@@ -201,11 +217,7 @@ class InferenceEngine:
             batch = FusedDesignBatch(list(missed))
             subsets = [np.arange(d.num_endpoints) for d in missed]
             images = batch.stacked_path_images(subsets)
-            cols = None
-            if self.cache_columns:
-                conv1 = self.model.extractor.cnn.conv1
-                cols = image_columns(images, conv1.weight.data,
-                                     conv1.stride, conv1.padding)
+            cols = _conv1_columns(self.model, images)
             struct = (batch, subsets, images, cols)
             self._structs.put(key, struct)
         return struct
@@ -231,8 +243,8 @@ class InferenceEngine:
                 batch, subsets, images, cols = self._batch_struct(missed)
                 rows = batch.merged_endpoint_rows(subsets)
                 u_graph = model.extractor.gnn(batch.graph, rows).data
-                u_layout = cnn_forward(model.extractor.cnn, images,
-                                       cols=cols)
+                u_layout = model.extractor.cnn(Tensor(images),
+                                               cols=cols).data
                 u, u_n, u_d = self._disentangle(u_graph, u_layout)
             # One digest recompute per coalesced batch: store the whole
             # batch's triples only if the weights did not change under
@@ -357,7 +369,7 @@ class InferenceEngine:
                     u, mu_all[i:i + 1], lv_all[i:i + 1], mc_samples,
                     draw, seed, with_std=with_uncertainty)
                 out[design.name] = Prediction(design.name, design.node,
-                                              mean, std)
+                                              mean, std, self.generation)
         return out
 
     # ------------------------------------------------------------------
@@ -368,7 +380,8 @@ class InferenceEngine:
 
         Takes the write side of the engine lock, so the swap waits for
         in-flight predictions and no prediction can start mid-swap: a
-        request sees the old weights or the new, never a mixture.  The
+        request sees the old weights or the new, never a mixture, and
+        ``generation`` advances with the weights.  The
         feature cache needs no flush — its entries are digest-keyed, so
         the new weights simply miss.  The weight-independent structure
         caches survive unless the new model's first conv layer has a
@@ -382,6 +395,7 @@ class InferenceEngine:
                       and old.padding == new.padding)
         with self._rw.write():
             self.model = model
+            self.generation += 1
             if not compatible:
                 self._image_cols.clear()
                 self._structs.clear()

@@ -9,6 +9,8 @@ global average pooling; the paper's 3x512x512 input is scaled down to
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..nn import Conv2d, Linear, Module, Tensor
@@ -39,10 +41,15 @@ class LayoutCNN(Module):
         self.conv3 = Conv2d(2 * channels, 2 * channels, 3, rng, padding=1)
         self.project = Linear(2 * channels, out_features, rng)
 
-    def forward(self, images: Tensor) -> Tensor:
-        """``(K, C, R, R)`` masked images -> ``(K, out_features)``."""
+    def forward(self, images: Tensor,
+                cols: Optional[F.Columns] = None) -> Tensor:
+        """``(K, C, R, R)`` masked images -> ``(K, out_features)``.
+
+        ``cols`` optionally carries ``conv1``'s precomputed im2col
+        columns of ``images`` (see :func:`repro.nn.functional.conv2d`).
+        """
         with timed("cnn.forward"):
-            h = F.max_pool2d(self.conv1(images).relu(), 2)
+            h = F.max_pool2d(self.conv1(images, cols=cols).relu(), 2)
             h = F.max_pool2d(self.conv2(h).relu(), 2)
             h = self.conv3(h).relu()
             h = F.global_avg_pool2d(h)

@@ -11,16 +11,12 @@ heterogeneous), and a node's embedding is
 computed level by level, so each embedding summarises the whole fanin
 cone below it — making the endpoint rows genuine *timing path* features.
 
-Two sweep implementations share the same math:
-
-- the **fused kernel** (default): one autograd node whose forward runs
-  the entire sweep in tight numpy (in-place level updates, BLAS message
-  matmuls) and whose backward replays the levels in reverse.  This
-  replaces the thousands of small per-level autograd nodes the naive
-  composition creates, which dominate wall-clock on small levels.
-- the **reference composition**: the original per-level gather/scatter
-  autograd ops, kept as the ground truth the fused kernel is validated
-  against (see ``reference_sweep`` and the equivalence tests).
+The sweep runs as one autograd node whose forward is the whole
+levelised propagation in tight numpy (in-place level updates, BLAS
+message matmuls) and whose backward replays the levels in reverse.
+Its arithmetic lives once, in ``repro.nn.functional``
+(``_sweep_forward_raw`` / ``_sweep_backward_raw``), shared with the
+compiled step's kernel.
 """
 
 from __future__ import annotations
@@ -30,9 +26,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..features import PinGraph
-from ..nn import Linear, Module, Tensor, gather_rows, scatter_add_rows
+from ..nn import Linear, Module, Tensor, gather_rows
+from ..nn.functional import _sweep_backward_raw, _sweep_forward_raw
 from ..nn.tensor import _finish
-from ..util import is_legacy, legacy_mode, timed
+from ..util import timed
 
 
 class _LevelPlan:
@@ -93,67 +90,29 @@ def _plan_for(graph: PinGraph) -> _LevelPlan:
     return plan
 
 
-#: The sweep follows the process-global legacy switch: inside
-#: ``legacy_mode()`` the naive per-level autograd composition runs
-#: (equivalence tests, pre-fusion benchmark baseline); production code
-#: paths always take the fused kernel.  Kept under its historical name.
-reference_sweep = legacy_mode
-
-
 def levelized_sweep(s: Tensor, w_net: Tensor, w_cell: Tensor,
                     plan: _LevelPlan, level0: np.ndarray,
                     num_nodes: int) -> Tensor:
     """The whole levelised propagation as ONE autograd node.
 
-    Forward mirrors the reference composition exactly (each node's row
-    of ``h`` is written once, at its own level), but runs in plain numpy
-    with in-place buffers.  Backward replays the levels in reverse
-    topological order, accumulating into per-array gradient buffers —
-    the hand-written adjoint of the forward sweep.
+    Forward runs the level-ordered sweep in plain numpy with in-place
+    buffers (each node's row of ``h`` is written once, at its own
+    level).  Backward replays the levels in reverse topological order,
+    accumulating into per-array gradient buffers — the hand-written
+    adjoint of the forward sweep.
     """
     s_data = s.data
     wn, wc = w_net.data, w_cell.data
-    hidden = s_data.shape[1]
-    h = np.zeros((num_nodes, hidden), dtype=s_data.dtype)
-    if level0.size:
-        h[level0] = np.maximum(s_data[level0], 0.0)
-    for step in plan.steps:
-        dst = step["dst"]
-        total = s_data[dst].copy()
-        for kind, w in (("net", wn), ("cell", wc)):
-            src = step[f"{kind}_src"]
-            if src.size == 0:
-                continue
-            msgs = h[src] @ w
-            agg = np.zeros((len(dst), hidden), dtype=s_data.dtype)
-            np.add.at(agg, step[f"{kind}_dst_local"], msgs)
-            total += agg * step[f"{kind}_inv_count"]
-        h[dst] = np.maximum(total, 0.0)
+    h = _sweep_forward_raw(
+        s_data, wn, wc, plan.steps, level0,
+        np.empty((num_nodes, s_data.shape[1]), dtype=s_data.dtype))
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_h = np.array(grad, copy=True)
-        grad_s = np.zeros_like(s_data) if s.requires_grad else None
-        grad_wn = np.zeros_like(wn) if w_net.requires_grad else None
-        grad_wc = np.zeros_like(wc) if w_cell.requires_grad else None
-        for step in reversed(plan.steps):
-            dst = step["dst"]
-            grad_total = grad_h[dst] * (h[dst] > 0.0)
-            if grad_s is not None:
-                grad_s[dst] += grad_total
-            for kind, w, grad_w in (("net", wn, grad_wn),
-                                    ("cell", wc, grad_wc)):
-                src = step[f"{kind}_src"]
-                if src.size == 0:
-                    continue
-                grad_agg = grad_total * step[f"{kind}_inv_count"]
-                grad_msgs = grad_agg[step[f"{kind}_dst_local"]]
-                if grad_w is not None:
-                    grad_w += h[src].T @ grad_msgs
-                np.add.at(grad_h, src, grad_msgs @ w.T)
-        if level0.size:
-            grad_level0 = grad_h[level0] * (h[level0] > 0.0)
-            if grad_s is not None:
-                grad_s[level0] += grad_level0
+        grad_s = np.empty_like(s_data) if s.requires_grad else None
+        grad_wn = np.empty_like(wn) if w_net.requires_grad else None
+        grad_wc = np.empty_like(wc) if w_cell.requires_grad else None
+        _sweep_backward_raw(grad, wn, wc, plan.steps, level0, h,
+                            np.empty_like(h), grad_s, grad_wn, grad_wc)
         if grad_s is not None:
             out._send(s, grad_s)
         if grad_wn is not None:
@@ -196,32 +155,10 @@ class TimingGNN(Module):
             s = self.lin_self(Tensor(graph.features))
             if not graph.levels:
                 return s.relu()
-            if is_legacy():
-                return self._sweep_reference(graph, s)
             return levelized_sweep(
                 s, self.lin_net.weight, self.lin_cell.weight,
                 _plan_for(graph), graph.levels[0], graph.num_nodes,
             )
-
-    def _sweep_reference(self, graph: PinGraph, s: Tensor) -> Tensor:
-        """Per-level autograd composition (ground truth for the kernel)."""
-        n = graph.num_nodes
-        level0 = graph.levels[0]
-        h = scatter_add_rows(gather_rows(s, level0).relu(), level0, n)
-        plan = _plan_for(graph)
-        for step in plan.steps:
-            dst = step["dst"]
-            total = gather_rows(s, dst)
-            for kind, lin in (("net", self.lin_net), ("cell", self.lin_cell)):
-                src = step[f"{kind}_src"]
-                if src.size == 0:
-                    continue
-                msgs = lin(gather_rows(h, src))
-                agg = scatter_add_rows(msgs, step[f"{kind}_dst_local"],
-                                       len(dst))
-                total = total + agg * Tensor(step[f"{kind}_inv_count"])
-            h = h + scatter_add_rows(total.relu(), dst, n)
-        return h
 
     def forward(self, graph: PinGraph,
                 endpoint_rows: Optional[np.ndarray] = None) -> Tensor:

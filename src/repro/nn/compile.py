@@ -655,7 +655,6 @@ def _op_conv2d():
         x, w = k.ins[0], k.ins[1]
         bias = k.ins[2] if k.attrs["has_bias"] else None
         stride, padding = k.attrs["stride"], k.attrs["padding"]
-        legacy = k.attrs["legacy"]
         n, c, _, _, c_out, kh, kw, hp, wp, oh, ow = _geometry(k)
         # Padded staging buffer: borders zeroed once, interior is
         # rewritten per replay (matches np.pad's zero fill).
@@ -667,10 +666,7 @@ def _op_conv2d():
 
         def f():
             cols = F._im2col_out(x, (kh, kw), stride, padding, xpad, cols6)
-            if legacy:
-                np.einsum("ok,nkl->nol", wmat, cols, out=out3)
-            else:
-                np.matmul(wmat, cols, out=out3)
+            np.matmul(wmat, cols, out=out3)
             if bias is not None:
                 np.add(out3, bias[None, :, None], out=out3)
         return f
@@ -680,7 +676,6 @@ def _op_conv2d():
         acc_x, acc_w = k.accs[0], k.accs[1]
         acc_b = k.accs[2] if k.attrs["has_bias"] else None
         stride, padding = k.attrs["stride"], k.attrs["padding"]
-        legacy = k.attrs["legacy"]
         n, c, h, wdt, c_out, kh, kw, hp, wp, oh, ow = _geometry(k)
         ckk = c * kh * kw
         cols6 = k.attrs["_cols6"]
@@ -698,18 +693,12 @@ def _op_conv2d():
         def fn(g):
             g3 = g.reshape(n, c_out, oh * ow)
             if acc_w is not None:
-                if legacy:
-                    g_w = np.einsum("nol,nkl->ok", g3, cols)
-                else:
-                    g_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+                g_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
                 acc_w(g_w.reshape(w_shape))
             if acc_b is not None:
                 acc_b(g3.sum(axis=(0, 2)))
             if acc_x is not None:
-                if legacy:
-                    np.einsum("ok,nol->nkl", wmat, g3, out=gcols)
-                else:
-                    np.matmul(wmat.T, g3, out=gcols)
+                np.matmul(wmat.T, g3, out=gcols)
                 acc_x(F._col2im_out(gcols, (kh, kw), stride, padding,
                                     oh, ow, gpad, gx))
         return fn
@@ -734,29 +723,14 @@ def _op_max_pool2d():
         return f
 
     def bwd(k):
-        x, out, acc = k.ins[0], k.out, k.accs[0]
+        x, acc = k.ins[0], k.accs[0]
         kernel, stride = k.attrs["kernel"], k.attrs["stride"]
-        legacy = k.attrs["legacy"]
-        n, c, h, w = x.shape
-        _, _, oh, ow = out.shape
         arg = k.attrs["_arg"]
-        gx = np.empty((n, c, h, w), dtype=k.dtype)
+        gx = np.empty(x.shape, dtype=k.dtype)
 
         def fn(g):
             gx.fill(0.0)
-            ki, kj = np.divmod(arg, kernel)
-            if legacy or stride < kernel:
-                n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
-                rows = oh_i * stride + ki
-                cols_ = ow_i * stride + kj
-                np.add.at(gx, (n_i, c_i, rows, cols_), g)
-            else:
-                rows = np.arange(oh)[None, None, :, None] * stride + ki
-                cols_ = np.arange(ow)[None, None, None, :] * stride + kj
-                chan = (np.arange(n)[:, None, None, None] * c
-                        + np.arange(c)[None, :, None, None])
-                gx.ravel()[(chan * h + rows) * w + cols_] = g
-            acc(gx)
+            acc(F._max_pool_scatter(g, arg, kernel, stride, gx))
         return fn
     return fwd, bwd
 
@@ -821,25 +795,7 @@ def _op_levelized_sweep():
         h = k.out
         level0 = k.attrs["level0"]
         steps = _steps(k)
-        hidden = s.shape[1]
-
-        def f():
-            h.fill(0.0)
-            if level0.size:
-                h[level0] = np.maximum(s[level0], 0.0)
-            for step in steps:
-                dst = step["dst"]
-                total = s[dst].copy()
-                for kind, w in (("net", wn), ("cell", wc)):
-                    src = step[f"{kind}_src"]
-                    if src.size == 0:
-                        continue
-                    msgs = h[src] @ w
-                    agg = np.zeros((len(dst), hidden), dtype=s.dtype)
-                    np.add.at(agg, step[f"{kind}_dst_local"], msgs)
-                    total += agg * step[f"{kind}_inv_count"]
-                h[dst] = np.maximum(total, 0.0)
-        return f
+        return lambda: F._sweep_forward_raw(s, wn, wc, steps, level0, h)
 
     def bwd(k):
         s, wn, wc = k.ins[0], k.ins[1], k.ins[2]
@@ -853,38 +809,12 @@ def _op_levelized_sweep():
         grad_wc = np.empty_like(wc) if acc_wc is not None else None
 
         def fn(g):
-            np.copyto(grad_h, g)
-            if grad_s is not None:
-                grad_s.fill(0.0)
-            if grad_wn is not None:
-                grad_wn.fill(0.0)
-            if grad_wc is not None:
-                grad_wc.fill(0.0)
-            for step in reversed(steps):
-                dst = step["dst"]
-                grad_total = grad_h[dst] * (h[dst] > 0.0)
-                if grad_s is not None:
-                    grad_s[dst] += grad_total
-                for kind, w, grad_w in (("net", wn, grad_wn),
-                                        ("cell", wc, grad_wc)):
-                    src = step[f"{kind}_src"]
-                    if src.size == 0:
-                        continue
-                    grad_agg = grad_total * step[f"{kind}_inv_count"]
-                    grad_msgs = grad_agg[step[f"{kind}_dst_local"]]
-                    if grad_w is not None:
-                        grad_w += h[src].T @ grad_msgs
-                    np.add.at(grad_h, src, grad_msgs @ w.T)
-            if level0.size:
-                grad_level0 = grad_h[level0] * (h[level0] > 0.0)
-                if grad_s is not None:
-                    grad_s[level0] += grad_level0
-            if acc_s is not None:
-                acc_s(grad_s)
-            if acc_wn is not None:
-                acc_wn(grad_wn)
-            if acc_wc is not None:
-                acc_wc(grad_wc)
+            F._sweep_backward_raw(g, wn, wc, steps, level0, h, grad_h,
+                                  grad_s, grad_wn, grad_wc)
+            for acc, buf in ((acc_s, grad_s), (acc_wn, grad_wn),
+                             (acc_wc, grad_wc)):
+                if acc is not None:
+                    acc(buf)
         return fn
     return fwd, bwd
 

@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..util import is_legacy
 from . import _tracing
 from .grad_mode import is_grad_enabled
 from .tensor import Tensor, _finish, as_tensor
@@ -115,8 +114,12 @@ def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor
 # ----------------------------------------------------------------------
 # Convolution via im2col
 # ----------------------------------------------------------------------
+#: ``(cols, oh, ow)`` as returned by :func:`_im2col`.
+Columns = Tuple[np.ndarray, int, int]
+
+
 def _im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
-            padding: int) -> Tuple[np.ndarray, int, int]:
+            padding: int) -> Columns:
     """Unfold NCHW ``x`` into columns of shape (N, C*kh*kw, oh*ow)."""
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -154,7 +157,7 @@ def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
-           padding: int = 0) -> Tensor:
+           padding: int = 0, cols: Columns = None) -> Tensor:
     """2D convolution on NCHW input.
 
     Parameters
@@ -165,19 +168,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
         Kernels of shape (C_out, C_in, kH, kW).
     bias:
         Optional per-output-channel bias of shape (C_out,).
+    cols:
+        Optional precomputed ``_im2col(x.data, ...)`` triple for this
+        kernel geometry.  The columns depend on the input alone, never
+        on the weights, so a caller convolving the same input again
+        (the inference engine's first layer) can skip the unfold.
     """
     c_out, c_in, kh, kw = weight.shape
-    cols, oh, ow = _im2col(x.data, (kh, kw), stride, padding)
+    if cols is None:
+        cols = _im2col(x.data, (kh, kw), stride, padding)
+    cols, oh, ow = cols
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
-    legacy = is_legacy()
-    if legacy:
-        out_data = np.einsum("ok,nkl->nol", w_mat, cols)
-    else:
-        # Batched GEMM (BLAS) rather than einsum:
-        # (o,k) @ (n,k,l) -> (n,o,l).
-        out_data = np.matmul(w_mat, cols)
+    # Batched GEMM (BLAS): (o,k) @ (n,k,l) -> (n,o,l).
+    out_data = np.matmul(w_mat, cols)
     if bias is not None:
-        # In place: out_data is a fresh array either way, and the extra
+        # In place: out_data is a fresh array, and the extra
         # (N, C_out, oh*ow) temporary is measurable on big path batches.
         out_data += bias.data[None, :, None]
     out_data = out_data.reshape(x.shape[0], c_out, oh, ow)
@@ -187,25 +192,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
     def backward(grad: np.ndarray, out: Tensor) -> None:
         grad_mat = grad.reshape(x.shape[0], c_out, oh * ow)
         if weight.requires_grad:
-            if legacy:
-                g_w = np.einsum("nol,nkl->ok", grad_mat, cols)
-            else:
-                g_w = np.matmul(grad_mat,
-                                cols.transpose(0, 2, 1)).sum(axis=0)
+            g_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             out._send(weight, g_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             out._send(bias, grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:
-            if legacy:
-                g_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat)
-            else:
-                g_cols = np.matmul(w_mat.T, grad_mat)
+            g_cols = np.matmul(w_mat.T, grad_mat)
             g_x = _col2im(g_cols, x.shape, (kh, kw), stride, padding, oh, ow)
             out._send(x, g_x)
 
     return _finish(out_data, parents, backward, op="conv2d",
                    attrs={"stride": stride, "padding": padding,
-                          "legacy": legacy, "has_bias": bias is not None})
+                          "has_bias": bias is not None})
+
+
+def _max_pool_scatter(grad: np.ndarray, arg: np.ndarray, kernel: int,
+                      stride: int, gx: np.ndarray) -> np.ndarray:
+    """Route window-max gradients to their argmax cells (``out=`` style).
+
+    ``arg`` holds each window's flat argmax and ``gx`` must be zeroed by
+    the caller; shared by the eager op and the compiled kernel so both
+    produce bit-identical input gradients.
+    """
+    n, c, oh, ow = arg.shape
+    h, w = gx.shape[2], gx.shape[3]
+    ki, kj = np.divmod(arg, kernel)
+    if stride < kernel:
+        # Overlapping windows can share an argmax cell: accumulate.
+        n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
+        rows = oh_i * stride + ki
+        cols_ = ow_i * stride + kj
+        np.add.at(gx, (n_i, c_i, rows, cols_), grad)
+    else:
+        # Non-overlapping windows: each input cell is the argmax of at
+        # most one window, so the scatter targets are unique and a flat
+        # fancy assignment replaces the slow np.add.at.
+        rows = np.arange(oh)[None, None, :, None] * stride + ki
+        cols_ = np.arange(ow)[None, None, None, :] * stride + kj
+        chan = (np.arange(n)[:, None, None, None] * c
+                + np.arange(c)[None, :, None, None])
+        gx.ravel()[(chan * h + rows) * w + cols_] = grad
+    return gx
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
@@ -239,30 +266,13 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     flat = windows.reshape(n, c, oh, ow, kernel * kernel)
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    legacy = is_legacy()
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
-        g_x = np.zeros_like(x.data)
-        ki, kj = np.divmod(arg, kernel)
-        if legacy or stride < kernel:
-            n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow))
-            rows = oh_i * stride + ki
-            cols_ = ow_i * stride + kj
-            np.add.at(g_x, (n_i, c_i, rows, cols_), grad)
-        else:
-            # Non-overlapping windows: each input cell is the argmax of
-            # at most one window, so the scatter targets are unique and
-            # a flat fancy assignment replaces the slow np.add.at.
-            rows = np.arange(oh)[None, None, :, None] * stride + ki
-            cols_ = np.arange(ow)[None, None, None, :] * stride + kj
-            chan = (np.arange(n)[:, None, None, None] * c
-                    + np.arange(c)[None, :, None, None])
-            g_x.ravel()[(chan * h + rows) * w + cols_] = grad
-        out._send(x, g_x)
+        out._send(x, _max_pool_scatter(grad, arg, kernel, stride,
+                                       np.zeros_like(x.data)))
 
     return _finish(out_data, (x,), backward, op="max_pool2d",
-                   attrs={"kernel": kernel, "stride": stride,
-                          "legacy": legacy})
+                   attrs={"kernel": kernel, "stride": stride})
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
@@ -380,3 +390,72 @@ def _pool_windows_out(x: np.ndarray, kernel: int, stride: int,
             win[:, :, :, :, i, j] = x[:, :, i:i + stride * oh:stride,
                                       j:j + stride * ow:stride]
     return win.reshape(n, c, oh, ow, kh * kw)
+
+
+# ----------------------------------------------------------------------
+# Levelised GNN sweep (shared by the eager op and the compiled kernel)
+# ----------------------------------------------------------------------
+_EDGE_KINDS = ("net", "cell")
+
+
+def _sweep_forward_raw(s: np.ndarray, w_net: np.ndarray,
+                       w_cell: np.ndarray, steps, level0: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+    """The levelised propagation into the ``(N, hidden)`` buffer ``h``.
+
+    ``steps`` are the per-level edge groupings of
+    ``repro.model.gnn._LevelPlan`` (level 0 excluded).  Each node's row
+    of ``h`` is written once, at its own level, so a level reads only
+    rows finished by earlier levels.  ``h`` is fully overwritten.
+    """
+    hidden = s.shape[1]
+    h.fill(0.0)
+    if level0.size:
+        h[level0] = np.maximum(s[level0], 0.0)
+    for step in steps:
+        dst = step["dst"]
+        total = s[dst].copy()
+        for kind, w in zip(_EDGE_KINDS, (w_net, w_cell)):
+            src = step[f"{kind}_src"]
+            if src.size == 0:
+                continue
+            msgs = h[src] @ w
+            agg = np.zeros((len(dst), hidden), dtype=s.dtype)
+            np.add.at(agg, step[f"{kind}_dst_local"], msgs)
+            total += agg * step[f"{kind}_inv_count"]
+        h[dst] = np.maximum(total, 0.0)
+    return h
+
+
+def _sweep_backward_raw(grad: np.ndarray, w_net: np.ndarray,
+                        w_cell: np.ndarray, steps, level0: np.ndarray,
+                        h: np.ndarray, grad_h: np.ndarray,
+                        grad_s: np.ndarray = None,
+                        grad_wn: np.ndarray = None,
+                        grad_wc: np.ndarray = None) -> None:
+    """Adjoint of :func:`_sweep_forward_raw`, replaying levels in reverse.
+
+    ``grad_h`` is scratch of ``h``'s shape; the ``grad_*`` outputs are
+    overwritten, and a ``None`` output is skipped.
+    """
+    np.copyto(grad_h, grad)
+    for buf in (grad_s, grad_wn, grad_wc):
+        if buf is not None:
+            buf.fill(0.0)
+    for step in reversed(steps):
+        dst = step["dst"]
+        grad_total = grad_h[dst] * (h[dst] > 0.0)
+        if grad_s is not None:
+            grad_s[dst] += grad_total
+        for kind, w, grad_w in zip(_EDGE_KINDS, (w_net, w_cell),
+                                   (grad_wn, grad_wc)):
+            src = step[f"{kind}_src"]
+            if src.size == 0:
+                continue
+            grad_agg = grad_total * step[f"{kind}_inv_count"]
+            grad_msgs = grad_agg[step[f"{kind}_dst_local"]]
+            if grad_w is not None:
+                grad_w += h[src].T @ grad_msgs
+            np.add.at(grad_h, src, grad_msgs @ w.T)
+    if grad_s is not None and level0.size:
+        grad_s[level0] += grad_h[level0] * (h[level0] > 0.0)

@@ -144,9 +144,11 @@ class Conv2d(Module):
         self.bias = Tensor(init.zeros((out_channels,)), requires_grad=True) \
             if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, cols: Optional[F.Columns] = None) -> Tensor:
+        """Convolve ``x``; ``cols`` is an optional precomputed unfold
+        of ``x`` for this layer's geometry (see ``F.conv2d``)."""
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding)
+                        padding=self.padding, cols=cols)
 
 
 class ReLU(Module):

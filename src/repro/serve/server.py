@@ -49,7 +49,6 @@ import numpy as np
 from ..flow import DesignData
 from ..infer import (
     InferenceEngine,
-    Prediction,
     load_predictor,
     weight_digest,
 )
@@ -105,12 +104,16 @@ class ModelContainer:
             max_column_entries=max_column_entries)
         self.model_path = Path(model_path) if model_path else None
         self._lock = threading.Lock()
-        self.generation = 1
         self.digest = weight_digest(model)
         self.reloads = 0
         self.failed_reloads = 0
         self.last_reload_error: Optional[str] = None
         self._mtime = self._current_mtime()
+
+    @property
+    def generation(self) -> int:
+        """The engine's model generation (bumped by each swap)."""
+        return self.engine.generation
 
     def _current_mtime(self) -> Optional[float]:
         if self.model_path is None:
@@ -145,7 +148,6 @@ class ModelContainer:
                         "digest": self.digest}
             self.engine.swap_model(model)
             self._mtime = mtime
-            self.generation += 1
             self.digest = weight_digest(model)
             self.reloads += 1
             self.last_reload_error = None
@@ -244,17 +246,10 @@ class PredictionService:
             else:
                 # No-coalescing baseline: the handler thread calls the
                 # engine directly — the leanest per-request dispatch.
-                engine = self.container.engine
-                if uncertainty:
-                    mean, std = engine.predict_with_uncertainty(
-                        design, mc_samples=mc_samples, seed=seed)
-                else:
-                    mean = engine.predict(design,
-                                          mc_samples=mc_samples,
-                                          seed=seed)
-                    std = None
-                prediction = Prediction(design.name, design.node,
-                                        mean, std)
+                prediction = self.container.engine.predict_many(
+                    [design], mc_samples=mc_samples,
+                    with_uncertainty=uncertainty,
+                    seed=seed)[design.name]
                 batched_with = 1
         except CoalescerClosed:
             return 503, {"error": "server is shutting down"}
@@ -271,7 +266,9 @@ class PredictionService:
             "std": prediction.std.tolist()
             if prediction.std is not None else None,
             "coalesced": batched_with,
-            "generation": self.container.generation,
+            # The generation whose weights computed this answer (read
+            # under the engine's read lock, with the weights).
+            "generation": prediction.generation,
         }
         return 200, body
 

@@ -123,6 +123,24 @@ def _inflate_optimizer(meta: Mapping[str, Any],
     return state
 
 
+def _retire_config_keys(config: Dict[str, Any],
+                        path: Path) -> Dict[str, Any]:
+    """Drop TrainConfig keys of removed features from a stored config.
+
+    ``fused`` selected between the fused step and a per-design loop
+    that no longer exists; checkpoints written before its removal
+    record it.  ``True`` is the only behaviour left, so it is dropped;
+    ``False`` names the removed loop and cannot be resumed.
+    """
+    if "fused" in config:
+        if config.pop("fused") is not True:
+            raise CheckpointError(
+                f"checkpoint {path} was written by the removed looped "
+                "per-design trainer (fused=false); only the fused step "
+                "exists now, so this run cannot be resumed")
+    return config
+
+
 def save_checkpoint(path: Union[str, Path], *, step: int,
                     config: Mapping[str, Any],
                     model: Any, optimizer: Any,
@@ -259,7 +277,7 @@ def load_checkpoint(path: Union[str, Path]) -> TrainingCheckpoint:
 
     return TrainingCheckpoint(
         step=int(meta["step"]),
-        config=dict(meta["config"]),
+        config=_retire_config_keys(dict(meta["config"]), path),
         params=params,
         optimizer=optimizer,
         rng_states=dict(meta["rng_states"]),

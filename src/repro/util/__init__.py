@@ -1,7 +1,6 @@
-"""Small cross-cutting utilities (timing, concurrency, legacy switch)."""
+"""Small cross-cutting utilities (timing, concurrency)."""
 
 from .concurrency import RWLock
-from .legacy import is_legacy, legacy_mode
 from .timing import (
     format_timing_table,
     get_timings,
@@ -15,8 +14,6 @@ __all__ = [
     "RWLock",
     "format_timing_table",
     "get_timings",
-    "is_legacy",
-    "legacy_mode",
     "merge_timings",
     "reset_timings",
     "timed",

@@ -14,6 +14,7 @@ from repro.infer import (
     save_predictor,
     weight_digest,
 )
+from repro.model import LayoutCNN
 
 ATOL = 1e-10
 
@@ -73,6 +74,15 @@ class TestPredictEquivalence:
 
 
 class TestPredictMany:
+    def test_prediction_carries_engine_generation(self, model,
+                                                  fresh_model, designs):
+        engine = InferenceEngine(model)
+        name = designs[0].name
+        assert engine.predict_many(designs[:1])[name].generation == 1
+        engine.swap_model(fresh_model)
+        assert engine.generation == 2
+        assert engine.predict_many(designs[:1])[name].generation == 2
+
     def test_fused_matches_per_design(self, model, designs, reference):
         engine = InferenceEngine(model)
         out = engine.predict_many(designs)
@@ -134,18 +144,33 @@ class TestCacheBehaviour:
         design = designs[0]
         engine.predict(design)
 
-        # NOTE: patching an attribute of the model would change the
-        # weight digest (the walk covers the module tree) and thus
-        # legitimately invalidate the cache — patch the engine-level
-        # kernel entry point instead.
+        # NOTE: patching an attribute of the model instance would
+        # change the weight digest (the walk covers the module tree)
+        # and thus legitimately invalidate the cache — patch the CNN's
+        # forward at class level instead.
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("extractor ran on a warm call")
 
-        import repro.infer.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "cnn_forward", boom)
+        monkeypatch.setattr(LayoutCNN, "forward", boom)
         engine.predict(design)  # served from cache
         assert engine.cache_stats()["hits"] >= 1
+
+    def test_cold_call_runs_the_training_cnn(self, model, designs,
+                                             monkeypatch):
+        """Serving extracts through ``LayoutCNN.forward`` itself, with
+        the cached conv1 columns, so it cannot drift from training."""
+        calls = []
+        original = LayoutCNN.forward
+
+        def spy(self, images, cols=None):
+            calls.append(cols is not None)
+            return original(self, images, cols=cols)
+
+        monkeypatch.setattr(LayoutCNN, "forward", spy)
+        engine = InferenceEngine(model)
+        engine.predict(designs[0])
+        engine.predict_many(designs[1:])
+        assert calls == [True, True]
 
     def test_weight_change_invalidates(self, fresh_model, designs):
         engine = InferenceEngine(fresh_model)

@@ -1,11 +1,13 @@
-"""Gradcheck coverage for the PR-1 fused kernels, via repro.check.
+"""Gradcheck coverage for the fused kernels, via repro.check.
 
-Three kernels replaced seed implementations behind ``is_legacy()``:
-the union-graph levelised sweep, the BLAS-backed ``conv2d``, and the
-non-overlapping ``max_pool2d`` backward.  Each is audited here with the
+Three kernels are hand-fused for speed: the union-graph levelised
+sweep, the BLAS-backed ``conv2d``, and the non-overlapping
+``max_pool2d`` backward.  Each is audited here with the
 :mod:`repro.check.gradcheck` harness — finite differences against the
-analytic gradients — and the sweep additionally against the reference
-per-level autograd composition it replaced.
+analytic gradients — and against a test-local reference of the
+legacy (seed) form it replaced: an einsum convolution, an
+``np.add.at`` pool scatter, and the per-level gather/scatter autograd
+composition.
 """
 
 import numpy as np
@@ -13,9 +15,8 @@ import pytest
 
 from repro.check.gradcheck import OpCase, check_case, make_sweep_fixture
 from repro.model.gnn import levelized_sweep
-from repro.nn import Tensor
+from repro.nn import Tensor, gather_rows, scatter_add_rows
 from repro.nn import functional as F
-from repro.util import legacy_mode
 
 
 def assert_case_clean(op, label, build, atol=1e-5):
@@ -40,20 +41,45 @@ class TestFusedConv2d:
         x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        grads = {}
-        for mode in ("fused", "legacy"):
+        tx = Tensor(x.copy(), requires_grad=True)
+        tw = Tensor(w.copy(), requires_grad=True)
+        tb = Tensor(b.copy(), requires_grad=True)
+        out = F.conv2d(tx, tw, tb, stride=1, padding=1)
+        (out * out).sum().backward()
+
+        # Reference: the einsum contraction over im2col columns.
+        cols, oh, ow = F._im2col(x, (3, 3), 1, 1)
+        w_mat = w.reshape(3, -1)
+        ref_out = np.einsum("ok,nkl->nol", w_mat, cols) + b[None, :, None]
+        grad = 2.0 * ref_out
+        np.testing.assert_allclose(out.data.reshape(ref_out.shape),
+                                   ref_out, atol=1e-12)
+        np.testing.assert_allclose(
+            tw.grad, np.einsum("nol,nkl->ok", grad, cols).reshape(w.shape),
+            atol=1e-10)
+        np.testing.assert_allclose(tb.grad, grad.sum(axis=(0, 2)),
+                                   atol=1e-10)
+        g_cols = np.einsum("ok,nol->nkl", w_mat, grad)
+        np.testing.assert_allclose(
+            tx.grad, F._col2im(g_cols, x.shape, (3, 3), 1, 1, oh, ow),
+            atol=1e-10)
+
+    def test_precomputed_cols_match_unfold(self):
+        """``cols=`` is the same convolution, values and gradients."""
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((3, 2, 6, 6))
+        w = rng.standard_normal((4, 2, 3, 3))
+        b = rng.standard_normal(4)
+        results = []
+        for cols in (None, F._im2col(x, (3, 3), 1, 1)):
             tx = Tensor(x.copy(), requires_grad=True)
             tw = Tensor(w.copy(), requires_grad=True)
             tb = Tensor(b.copy(), requires_grad=True)
-            if mode == "legacy":
-                with legacy_mode():
-                    out = F.conv2d(tx, tw, tb, stride=1, padding=1)
-            else:
-                out = F.conv2d(tx, tw, tb, stride=1, padding=1)
+            out = F.conv2d(tx, tw, tb, stride=1, padding=1, cols=cols)
             (out * out).sum().backward()
-            grads[mode] = (tx.grad, tw.grad, tb.grad)
-        for fused_grad, legacy_grad in zip(grads["fused"], grads["legacy"]):
-            np.testing.assert_allclose(fused_grad, legacy_grad, atol=1e-10)
+            results.append((out.data, tx.grad, tw.grad, tb.grad))
+        for plain, cached in zip(*results):
+            np.testing.assert_array_equal(plain, cached)
 
 
 class TestFusedMaxPool:
@@ -73,18 +99,42 @@ class TestFusedMaxPool:
 
     def test_non_overlapping_matches_legacy_scatter(self):
         x = self.tie_free_input((2, 2, 8, 8), seed=34)
-        grads = {}
-        for mode in ("fused", "legacy"):
-            t = Tensor(x.copy(), requires_grad=True)
-            if mode == "legacy":
-                with legacy_mode():
-                    out = F.max_pool2d(t, kernel=2, stride=2)
-            else:
-                out = F.max_pool2d(t, kernel=2, stride=2)
-            (out * out).sum().backward()
-            grads[mode] = t.grad
-        np.testing.assert_allclose(grads["fused"], grads["legacy"],
-                                   atol=1e-12)
+        t = Tensor(x.copy(), requires_grad=True)
+        out = F.max_pool2d(t, kernel=2, stride=2)
+        (out * out).sum().backward()
+
+        # Reference: np.add.at scatter of each window's gradient to
+        # its argmax cell.
+        windows = x.reshape(2, 2, 4, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5)
+        arg = windows.reshape(2, 2, 4, 4, 4).argmax(axis=-1)
+        ki, kj = np.divmod(arg, 2)
+        n_i, c_i, oh_i, ow_i = np.indices(arg.shape)
+        ref = np.zeros_like(x)
+        np.add.at(ref, (n_i, c_i, oh_i * 2 + ki, ow_i * 2 + kj),
+                  2.0 * out.data)
+        np.testing.assert_allclose(t.grad, ref, atol=1e-12)
+
+
+def _reference_sweep(graph, s, lin_net, lin_cell):
+    """The per-level autograd composition the fused sweep replaced."""
+    from repro.model.gnn import _plan_for
+
+    n = graph.num_nodes
+    level0 = graph.levels[0]
+    h = scatter_add_rows(gather_rows(s, level0).relu(), level0, n)
+    for step in _plan_for(graph).steps:
+        dst = step["dst"]
+        total = gather_rows(s, dst)
+        for kind, lin in (("net", lin_net), ("cell", lin_cell)):
+            src = step[f"{kind}_src"]
+            if src.size == 0:
+                continue
+            msgs = lin(gather_rows(h, src))
+            agg = scatter_add_rows(msgs, step[f"{kind}_dst_local"],
+                                   len(dst))
+            total = total + agg * Tensor(step[f"{kind}_inv_count"])
+        h = h + scatter_add_rows(total.relu(), dst, n)
+    return h
 
 
 class TestFusedLevelizedSweep:
@@ -134,21 +184,22 @@ class TestFusedLevelizedSweep:
 
         graph, _, _ = make_sweep_fixture(seed=38)
         results = {}
-        for mode in ("fused", "legacy"):
+        for mode in ("fused", "reference"):
             gnn = TimingGNN(1, hidden=3, out_features=2,
                             rng=np.random.default_rng(40))
             graph.features = np.asarray(
                 np.random.default_rng(41).standard_normal((8, 1)))
-            if mode == "legacy":
-                with legacy_mode():
-                    out = gnn(graph)
+            if mode == "reference":
+                s = gnn.lin_self(Tensor(graph.features))
+                h = _reference_sweep(graph, s, gnn.lin_net, gnn.lin_cell)
+                out = gnn.lin_out(gather_rows(h, graph.endpoint_rows))
             else:
                 out = gnn(graph)
             (out * out).sum().backward()
             results[mode] = {name: p.grad.copy() for name, p
                              in gnn.named_parameters() if p.grad is not None}
-        assert results["fused"].keys() == results["legacy"].keys()
+        assert results["fused"].keys() == results["reference"].keys()
         for name in results["fused"]:
             np.testing.assert_allclose(
-                results["fused"][name], results["legacy"][name],
+                results["fused"][name], results["reference"][name],
                 atol=1e-9, err_msg=name)

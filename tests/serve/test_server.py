@@ -13,7 +13,9 @@ import pytest
 
 from repro.infer import save_predictor, weight_digest
 from repro.serve import (
+    ModelContainer,
     PredictionServer,
+    PredictionService,
     ServerConfig,
     ServingClient,
     ServingError,
@@ -201,7 +203,8 @@ class TestHotReload:
     def test_reload_mid_traffic_old_or_new_never_garbage(
             self, designs, model, other_model, model_file):
         """Hammer predictions while the model is swapped back and forth;
-        every answer must exactly match one of the two models."""
+        every answer must exactly match one of the two models — the one
+        of the generation it reports."""
         ref_a = {d.name: model.predict(d) for d in designs}
         ref_b = {d.name: other_model.predict(d) for d in designs}
         errors = []
@@ -218,19 +221,29 @@ class TestHotReload:
                         design = designs[(i + k) % len(designs)]
                         k += 1
                         try:
-                            out = np.asarray(
-                                c.predict(design.name)["mean"])
+                            body = c.predict(design.name)
                         except ServingError as exc:
                             # A typed, reported failure is acceptable;
                             # garbage is not.
                             errors.append(("http", exc.status))
                             continue
+                        out = np.asarray(body["mean"])
                         ok_a = np.allclose(out, ref_a[design.name],
                                            atol=ATOL)
                         ok_b = np.allclose(out, ref_b[design.name],
                                            atol=ATOL)
                         if not (ok_a or ok_b):
                             errors.append(("garbage", design.name))
+                            continue
+                        # Odd generations serve `model`, even ones
+                        # `other_model`: the reported generation must
+                        # be the one whose weights answered.
+                        expected = ref_a if body["generation"] % 2 \
+                            else ref_b
+                        if not np.allclose(out, expected[design.name],
+                                           atol=ATOL):
+                            errors.append(("mislabelled", design.name,
+                                           body["generation"]))
 
             threads = [threading.Thread(target=hammer, args=(i,))
                        for i in range(4)]
@@ -246,6 +259,46 @@ class TestHotReload:
             for t in threads:
                 t.join()
         assert errors == []
+
+
+class TestGenerationConsistency:
+    @pytest.mark.parametrize("window_ms", [2.0, 0.0])
+    def test_reload_after_sweep_keeps_the_sweep_generation(
+            self, designs, model, other_model, model_file, window_ms,
+            monkeypatch):
+        """A reload that lands after a request's sweep but before its
+        response is built must not label the old weights' answer with
+        the new generation."""
+        container = ModelContainer(model, model_path=model_file)
+        service = PredictionService(
+            designs, container, ServerConfig(batch_window_ms=window_ms))
+        engine = container.engine
+        sweep = engine.predict_many
+        reloads = []
+
+        def sweep_then_reload(*args, **kwargs):
+            out = sweep(*args, **kwargs)
+            if not reloads:
+                save_predictor(other_model, model_file)
+                reloads.append(container.reload(force=True))
+            return out
+
+        monkeypatch.setattr(engine, "predict_many", sweep_then_reload)
+        try:
+            status, body = service.predict({"design": designs[0].name})
+            _, after = service.predict({"design": designs[0].name})
+        finally:
+            service.close()
+        assert status == 200
+        assert reloads[0]["reloaded"] is True
+        assert reloads[0]["generation"] == 2
+        assert body["generation"] == 1
+        np.testing.assert_allclose(np.asarray(body["mean"]),
+                                   model.predict(designs[0]), atol=ATOL)
+        assert after["generation"] == 2
+        np.testing.assert_allclose(np.asarray(after["mean"]),
+                                   other_model.predict(designs[0]),
+                                   atol=ATOL)
 
 
 class TestConfigAndLifecycle:

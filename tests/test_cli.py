@@ -55,6 +55,10 @@ class TestParser:
         assert args.checkpoint_every == 10
         assert args.resume == "runs/x"
 
+    def test_train_rejects_removed_no_fused_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--no-fused"])
+
 
 class TestCommands:
     def test_libs(self, capsys):

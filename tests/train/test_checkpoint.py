@@ -189,6 +189,67 @@ class TestTrainerValidation:
         assert capture_rng(other.rng) == rng_before
 
 
+def with_fused_key(trainer, path, fused):
+    """Save a checkpoint whose config records the retired ``fused`` key,
+    as every checkpoint written before the looped trainer was removed
+    does."""
+    trainer.save_checkpoint(step=0, path=path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"]["fused"] = fused
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    return path
+
+
+class TestRetiredFusedKey:
+    def test_fused_true_loads_silently(self, tiny_designs, in_features,
+                                       tmp_path):
+        path = with_fused_key(make_trainer(tiny_designs, in_features),
+                              tmp_path / CHECKPOINT_NAME, True)
+        assert "fused" not in load_checkpoint(path).config
+        other = make_trainer(tiny_designs, in_features)
+        other.load_checkpoint(path)  # must not raise
+        assert other._start_step == 0
+
+    def test_fused_false_names_the_removed_loop(self, tiny_designs,
+                                                in_features, tmp_path):
+        path = with_fused_key(make_trainer(tiny_designs, in_features),
+                              tmp_path / CHECKPOINT_NAME, False)
+        with pytest.raises(CheckpointError, match="looped"):
+            load_checkpoint(path)
+        other = make_trainer(tiny_designs, in_features)
+        before = weight_digest(other.model)
+        with pytest.raises(CheckpointError, match="looped"):
+            other.load_checkpoint(path)
+        assert weight_digest(other.model) == before
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_cli_resume(self, tiny_designs, in_features, tmp_path,
+                        monkeypatch, fused):
+        """``repro train --resume`` builds its TrainConfig from the
+        checkpoint: ``fused: true`` resumes, ``fused: false`` is a typed
+        refusal."""
+        import repro.experiments
+        from repro.cli import main
+
+        class ConfigAccepted(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise ConfigAccepted
+
+        monkeypatch.setattr(repro.experiments, "build_dataset", stop)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        with_fused_key(make_trainer(tiny_designs, in_features),
+                       run_dir / CHECKPOINT_NAME, fused)
+        expected = ConfigAccepted if fused else CheckpointError
+        with pytest.raises(expected):
+            main(["train", "--resume", str(run_dir)])
+
+
 class TestResumeDeterminism:
     def test_interrupt_resume_matches_uninterrupted(self, tiny_designs,
                                                     in_features, tmp_path):

@@ -1,8 +1,10 @@
-"""Fused cross-design step vs. the legacy per-design loop.
+"""Fused cross-design features vs. per-design ``model.path_features``.
 
-The fused path (one union-graph GNN sweep + one stacked CNN forward per
-step) must be numerically equivalent to looping over designs: same RNG
-consumption, same losses, same gradients, same optimiser trajectory.
+The training step extracts every design's path features in one fused
+pass (one union-graph GNN sweep + one stacked CNN forward).  It must be
+numerically equivalent to featurising design by design: same values,
+same parameter gradients, and the same optimiser trajectory when either
+drives the updates.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from repro.features import GateVocabulary, normalize_features
 from repro.flow import run_flow
 from repro.model import TimingPredictor
+from repro.nn import Adam, Tensor, concatenate
 from repro.techlib import make_asap7_library, make_sky130_library
 from repro.train import (
     FusedDesignBatch,
@@ -19,6 +22,7 @@ from repro.train import (
     merge_pin_graphs,
     slice_ranges,
 )
+from repro.train.batching import sample_endpoints
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +44,50 @@ def in_features(designs):
     return designs[0].graph.features.shape[1]
 
 
-def _train(designs, in_features, fused, steps):
-    model = TimingPredictor(in_features, seed=0)
-    cfg = TrainConfig(steps=steps, seed=0, fused=fused,
-                      holdout_fraction=0.0)
-    trainer = OursTrainer(model, designs, cfg)
-    history = [trainer.step(warmup=(t < 2)) for t in range(steps)]
-    return model, history
+def _looped_features(model, designs, subsets):
+    """Reference: ``model.path_features`` design by design, stacked."""
+    parts = [model.path_features(d, s) for d, s in zip(designs, subsets)]
+    return tuple(concatenate([p[i] for p in parts], axis=0)
+                 for i in range(3))
+
+
+def _subsets(designs, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_endpoints(d, 16, rng) for d in designs]
+
+
+def _loss(features, weights):
+    """A scalar touching every feature block with distinct weights."""
+    total = None
+    for tensor, w in zip(features, weights):
+        term = (tensor * tensor * Tensor(w)).sum()
+        total = term if total is None else total + term
+    return total
+
+
+def _weights(model, rows, seed):
+    rng = np.random.default_rng(seed)
+    m = model.extractor.feature_size
+    return [rng.standard_normal((rows, m)),
+            rng.standard_normal((rows, m // 2)),
+            rng.standard_normal((rows, m // 2))]
+
+
+def _feature_params(model):
+    """The parameters path features depend on (extractor, disentangler)."""
+    return [*model.extractor.parameters(), *model.disentangler.parameters()]
+
+
+def _grads(model, designs, subsets, fused, weights):
+    model.zero_grad()
+    if fused:
+        features = FusedDesignBatch(designs).path_features(model, subsets)
+    else:
+        features = _looped_features(model, designs, subsets)
+    loss = _loss(features, weights)
+    loss.backward()
+    grads = [p.grad.copy() for p in _feature_params(model)]
+    return features, loss, grads
 
 
 class TestMergedGraph:
@@ -78,24 +119,50 @@ class TestMergedGraph:
 
 class TestStepEquivalence:
     def test_one_step_losses_and_params_match(self, designs, in_features):
-        m_fused, h_fused = _train(designs, in_features, True, 1)
-        m_loop, h_loop = _train(designs, in_features, False, 1)
-        for key in ("total", "elbo", "contrastive", "cmd"):
-            assert h_fused[0][key] == pytest.approx(h_loop[0][key],
-                                                    abs=1e-8)
-        for p_f, p_l in zip(m_fused.parameters(), m_loop.parameters()):
-            np.testing.assert_allclose(p_f.data, p_l.data, atol=1e-8)
+        """Same features, loss and gradients, so the same Adam step."""
+        subsets = _subsets(designs, seed=1)
+        results = {}
+        for fused in (True, False):
+            model = TimingPredictor(in_features, seed=0)
+            weights = _weights(model, sum(len(s) for s in subsets), seed=2)
+            features, loss, grads = _grads(model, designs, subsets, fused,
+                                           weights)
+            Adam(_feature_params(model), lr=2e-3).step()
+            results[fused] = (features, loss.item(), grads,
+                              [p.data.copy() for p in model.parameters()])
+        f_fused, l_fused, g_fused, p_fused = results[True]
+        f_loop, l_loop, g_loop, p_loop = results[False]
+        for fused, looped in zip(f_fused, f_loop):
+            np.testing.assert_allclose(fused.data, looped.data, atol=1e-8)
+        assert l_fused == pytest.approx(l_loop, abs=1e-8)
+        for g_f, g_l in zip(g_fused, g_loop):
+            np.testing.assert_allclose(g_f, g_l, atol=1e-8)
+        for p_f, p_l in zip(p_fused, p_loop):
+            np.testing.assert_allclose(p_f, p_l, atol=1e-8)
 
     def test_ten_steps_stay_on_the_same_trajectory(self, designs,
                                                    in_features):
-        m_fused, h_fused = _train(designs, in_features, True, 10)
-        m_loop, h_loop = _train(designs, in_features, False, 10)
+        params = {}
+        losses = {}
+        for fused in (True, False):
+            model = TimingPredictor(in_features, seed=0)
+            optimizer = Adam(_feature_params(model), lr=2e-3)
+            for t in range(10):
+                subsets = _subsets(designs, seed=10 + t)
+                weights = _weights(model, sum(len(s) for s in subsets),
+                                   seed=100 + t)
+                _, loss, _ = _grads(model, designs, subsets, fused,
+                                    weights)
+                optimizer.step()
+            losses[fused] = loss.item()
+            params[fused] = [p.data.copy() for p in model.parameters()]
         # Loose tolerance: float noise may compound over ten Adam steps.
-        assert h_fused[-1]["total"] == pytest.approx(h_loop[-1]["total"],
-                                                     rel=1e-4)
-        for p_f, p_l in zip(m_fused.parameters(), m_loop.parameters()):
-            np.testing.assert_allclose(p_f.data, p_l.data, atol=1e-4)
+        assert losses[True] == pytest.approx(losses[False], rel=1e-4)
+        for p_f, p_l in zip(params[True], params[False]):
+            np.testing.assert_allclose(p_f, p_l, atol=1e-4)
 
     def test_history_records_step_seconds(self, designs, in_features):
-        _, history = _train(designs, in_features, True, 1)
-        assert history[0]["step_seconds"] > 0.0
+        model = TimingPredictor(in_features, seed=0)
+        cfg = TrainConfig(steps=1, seed=0, holdout_fraction=0.0)
+        record = OursTrainer(model, designs, cfg).step(warmup=True)
+        assert record["step_seconds"] > 0.0
