@@ -10,7 +10,11 @@ Measures the headline optimisations of the performance architecture
 - the graph-compiled step (trace once, replay a flat preallocated numpy
   schedule — DESIGN.md §11) vs. the eager fused step, in float64
   (bit-exact) and float32;
-- warm (cache-hit) vs. cold dataset construction.
+- warm (cache-hit) vs. cold dataset construction, with the cold
+  build's per-stage ``flow.*`` seconds;
+- the NLDM table lookup every STA arc evaluation makes: the scalar
+  pure-Python branch vs. the ndarray branch of ``TimingTable.lookup``
+  on one recorded stream of a real STA run.
 
 Besides the usual rendered table under ``results/``, the measured
 numbers are written to ``benchmarks/BENCH_train.json`` (override the
@@ -33,10 +37,16 @@ import pytest
 
 from repro.experiments import build_dataset
 from repro.model import TimingPredictor
+from repro.netlist import make_design, map_design
 from repro.nn import concatenate
+from repro.place import place_design
+from repro.route import PreRouteEstimator
+from repro.sta import run_sta
+from repro.techlib import TimingTable, make_sky130_library
 from repro.train import (FusedDesignBatch, OursTrainer, ParallelTrainer,
                          TrainConfig)
 from repro.train.batching import sample_endpoints
+from repro.util import get_timings, reset_timings
 
 from .conftest import bench_seed, record
 
@@ -103,6 +113,15 @@ def features_speedup_floor() -> float:
     pass to be no slower; smoke runs allow short-window noise.
     """
     return 0.9 if smoke_mode() else 1.0
+
+
+def lookup_speedup_floor() -> float:
+    """Required scalar-vs-ndarray lookup speedup (paired per-pass median).
+
+    About 20x on a 2-CPU box: numpy's per-call cost on 0-d values is
+    most of the ndarray branch's time.
+    """
+    return 2.0 if smoke_mode() else 3.0
 
 
 def _blas_vendor() -> str:
@@ -216,6 +235,60 @@ def _features_measurements(dataset):
     return stats
 
 
+def _recorded_lookup_stream():
+    """``(table, slew, load)`` of every NLDM lookup of one STA run
+    (pre-route, placed ``jpeg`` at 130nm: the largest Table-1 design,
+    about 6k lookups)."""
+    netlist = map_design(make_design("jpeg"), make_sky130_library())
+    place_design(netlist, seed=bench_seed())
+    stream = []
+    lookup = TimingTable.lookup
+
+    def recording(table, slew, load):
+        stream.append((table, slew, load))
+        return lookup(table, slew, load)
+
+    TimingTable.lookup = recording
+    try:
+        run_sta(netlist, PreRouteEstimator(netlist))
+    finally:
+        TimingTable.lookup = lookup
+    return stream
+
+
+def _lookup_measurements():
+    """Scalar vs ndarray ``TimingTable.lookup`` on the same call stream.
+
+    The ndarray variant gets 0-d arrays, which is what every scalar
+    call cost before the scalar branch existed.  Passes alternate, so
+    each scalar pass has an ndarray partner from the same noise window;
+    ``lookup_speedup`` is the median of those paired per-pass ratios.
+    A scalar pass lasts only ~10 ms, so the ratio of the two per-pass
+    minima swung 19-34x between runs on a 2-CPU box while the paired
+    median stayed within 20-26x.  The minima are recorded alongside.
+    """
+    stream = _recorded_lookup_stream()
+    variants = {
+        "scalar": stream,
+        "array": [(table, np.asarray(s, dtype=float),
+                   np.asarray(l, dtype=float)) for table, s, l in stream],
+    }
+    times = {key: [] for key in variants}
+    for _ in range(timed_steps()):
+        for key, calls in variants.items():
+            start = time.perf_counter()
+            for table, s, l in calls:
+                table.lookup(s, l)
+            times[key].append(time.perf_counter() - start)
+    ratios = np.array(times["array"]) / np.array(times["scalar"])
+    return {
+        "lookup_calls": len(stream),
+        "lookup_scalar_seconds": min(times["scalar"]),
+        "lookup_array_seconds": min(times["array"]),
+        "lookup_speedup": float(np.median(ratios)),
+    }
+
+
 #: Worker counts recorded in the parallel-scaling section.
 PARALLEL_WORKERS = (1, 2, 4)
 
@@ -297,9 +370,13 @@ def measurements(dataset, tmp_path_factory):
     parallel_scaling = _parallel_measurements(dataset)
 
     cache_dir = tmp_path_factory.mktemp("bench-cache")
+    reset_timings()
     start = time.perf_counter()
     build_dataset(use_cache=True, cache_dir=cache_dir)
     cold = time.perf_counter() - start
+    stages = {name: entry["seconds"]
+              for name, entry in get_timings().items()
+              if name.startswith("flow.")}
     start = time.perf_counter()
     build_dataset(use_cache=True, cache_dir=cache_dir)
     warm = time.perf_counter() - start
@@ -311,6 +388,8 @@ def measurements(dataset, tmp_path_factory):
             "cold_seconds": cold,
             "warm_seconds": warm,
             "speedup": cold / warm,
+            "cold_stage_seconds": stages,
+            **_lookup_measurements(),
         },
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -362,6 +441,13 @@ def _render(measurements) -> str:
         f"  cold    {d['cold_seconds']:.2f} s",
         f"  warm    {d['warm_seconds']:.3f} s",
         f"  speedup {d['speedup']:.1f}x",
+        "  cold stages "
+        + ", ".join(f"{name.split('.', 1)[1]} {seconds:.2f} s"
+                    for name, seconds in d["cold_stage_seconds"].items()),
+        f"  NLDM lookup ({d['lookup_calls']} calls of one STA run) "
+        f"scalar {d['lookup_scalar_seconds'] * 1e3:.1f} ms, "
+        f"ndarray {d['lookup_array_seconds'] * 1e3:.1f} ms (min), "
+        f"{d['lookup_speedup']:.1f}x (paired median)",
         "machine",
         f"  cpus {mach['cpu_count']}, numpy {mach['numpy']}, "
         f"blas {mach['blas']}",
@@ -388,6 +474,11 @@ def test_compiled_step_is_bit_exact(measurements):
 
 def test_warm_dataset_build_beats_cold(measurements):
     assert measurements["dataset_build"]["speedup"] >= 5.0
+
+
+def test_scalar_lookup_beats_array_branch(measurements):
+    assert (measurements["dataset_build"]["lookup_speedup"]
+            >= lookup_speedup_floor())
 
 
 def test_parallel_one_worker_is_bit_exact(measurements):

@@ -25,6 +25,12 @@ Checks, each printed with a PASS/FAIL verdict:
   numpy math minus the graph bookkeeping) must stay above
   ``baseline * (1 - tolerance)`` — a breach means the compiled
   kernels themselves got slower than the eager math they replace;
+- ``dataset_build.lookup_speedup`` (the scalar branch of
+  ``TimingTable.lookup`` vs its ndarray branch on one recorded STA
+  call stream, median of interleaved per-pass ratios) must stay above
+  ``baseline * (1 - tolerance)`` — a breach means the per-arc NLDM
+  lookup that dominates a cold flow build fell back toward numpy's
+  per-call overhead;
 - ``train_step.max_abs_loss_dev_compiled`` must stay <= 1e-12: the
   compiled step's bit-for-bit contract is enforced here too, so the
   gate catches equivalence breakage even if the bench's own assert is
@@ -51,8 +57,12 @@ import argparse
 import json
 import sys
 
-#: Within-run ratio fields gated against the baseline (higher = better).
-GATED_RATIOS = ("features_speedup", "compile_speedup_min")
+#: Within-run ratio fields gated against the baseline (higher = better),
+#: per payload section.
+GATED_RATIOS = {
+    "train_step": ("features_speedup", "compile_speedup_min"),
+    "dataset_build": ("lookup_speedup",),
+}
 
 #: Hard ceiling on the compiled-vs-eager float64 loss deviation.
 MAX_LOSS_DEV = 1e-12
@@ -152,23 +162,28 @@ def check_parallel(baseline: dict, candidate: dict,
     return verdicts
 
 
-def check(baseline: dict, candidate: dict, tolerance: float) -> list:
+def check(baseline_payload: dict, candidate_payload: dict,
+          tolerance: float) -> list:
     """List of ``(ok, message)`` verdicts for every gated field."""
     verdicts = []
-    for field in GATED_RATIOS:
-        base = baseline.get(field)
-        cand = candidate.get(field)
-        if not isinstance(base, (int, float)):
-            verdicts.append((False, f"{field}: missing from baseline"))
-            continue
-        if not isinstance(cand, (int, float)):
-            verdicts.append((False, f"{field}: missing from candidate"))
-            continue
-        floor = base * (1.0 - tolerance)
-        ok = cand >= floor
-        verdicts.append((ok, f"{field}: {cand:.2f}x vs baseline "
-                             f"{base:.2f}x (floor {floor:.2f}x)"))
-    dev = candidate.get("max_abs_loss_dev_compiled")
+    for section, fields in GATED_RATIOS.items():
+        baseline = baseline_payload.get(section) or {}
+        candidate = candidate_payload.get(section) or {}
+        for field in fields:
+            name = f"{section}.{field}"
+            base = baseline.get(field)
+            cand = candidate.get(field)
+            if not isinstance(base, (int, float)):
+                verdicts.append((False, f"{name}: missing from baseline"))
+                continue
+            if not isinstance(cand, (int, float)):
+                verdicts.append((False, f"{name}: missing from candidate"))
+                continue
+            floor = base * (1.0 - tolerance)
+            ok = cand >= floor
+            verdicts.append((ok, f"{name}: {cand:.2f}x vs baseline "
+                                 f"{base:.2f}x (floor {floor:.2f}x)"))
+    dev = candidate_payload["train_step"].get("max_abs_loss_dev_compiled")
     if not isinstance(dev, (int, float)):
         verdicts.append((False, "max_abs_loss_dev_compiled: missing "
                                 "from candidate"))
@@ -198,7 +213,7 @@ def main(argv=None) -> int:
         print(f"[info] {field}: candidate "
               f"{candidate.get(field, float('nan')):.4f}, baseline "
               f"{baseline.get(field, float('nan')):.4f}")
-    verdicts = check(baseline, candidate, args.tolerance)
+    verdicts = check(baseline_payload, candidate_payload, args.tolerance)
     verdicts += check_parallel(baseline_payload, candidate_payload,
                                args.tolerance)
     failed = False

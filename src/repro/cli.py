@@ -23,14 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (e.g. --workers)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}")
-    return value
+from .util.cliargs import add_build_workers_argument, positive_int
 
 
 def _libraries():
@@ -388,7 +381,7 @@ def cmd_predict(args) -> int:
     from .util import reset_timings, timing_report
 
     reset_timings()
-    dataset = build_dataset(workers=args.workers,
+    dataset = build_dataset(workers=args.build_workers,
                             use_cache=not args.no_flow_cache,
                             cache_dir=args.cache_dir)
     try:
@@ -478,7 +471,7 @@ def cmd_experiments(args) -> int:
     from .experiments.runner import run_all
 
     run_all(args.names or None, seed=args.seed, steps=args.steps,
-            workers=args.workers, use_cache=not args.no_cache)
+            workers=args.build_workers, use_cache=not args.no_cache)
     return 0
 
 
@@ -558,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-node", default=None, metavar="NODE",
                    help="transfer target node (default: the smallest "
                         "of --nodes); requires --nodes")
-    p.add_argument("--workers", type=_positive_int, default=None,
+    p.add_argument("--workers", type=positive_int, default=None,
                    metavar="N",
                    help="data-parallel training worker processes: the "
                         "step's design union is sharded across N "
@@ -567,9 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--workers 1 is bit-identical to it; clamped "
                         "to the CPU count and to the usable shard "
                         "count with a warning)")
-    p.add_argument("--build-workers", type=_positive_int, default=1,
-                   metavar="N",
-                   help="processes for cold dataset builds")
+    add_build_workers_argument(p)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk design cache")
     p.add_argument("--cache-dir", default=None,
@@ -624,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeat the prediction pass (cache warm-up "
                         "demo / profiling)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for cold dataset builds")
+    add_build_workers_argument(p, legacy_alias=True)
     p.add_argument("--no-flow-cache", action="store_true",
                    help="bypass the on-disk design cache")
     p.add_argument("--cache-dir", default=None,
@@ -673,8 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for cold dataset builds")
+    add_build_workers_argument(p, legacy_alias=True)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk design cache")
 
@@ -701,9 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true",
                    help="also run reverse transfer (target at the "
                         "largest node)")
-    p.add_argument("--build-workers", type=_positive_int, default=1,
-                   metavar="N",
-                   help="processes for cold dataset builds")
+    add_build_workers_argument(p)
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk design cache")
     p.add_argument("--cache-dir", default=None,

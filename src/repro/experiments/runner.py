@@ -12,6 +12,7 @@ import sys
 import time
 from typing import Optional
 
+from ..util.cliargs import add_build_workers_argument
 from .datasets import build_dataset
 from .extensions import (
     format_calibration,
@@ -74,13 +75,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=None,
                         help="override training steps (faster, rougher)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for cold dataset builds")
+    add_build_workers_argument(parser, legacy_alias=True)
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk design cache")
     args = parser.parse_args(argv)
     run_all(args.experiments or None, seed=args.seed, steps=args.steps,
-            workers=args.workers, use_cache=not args.no_cache)
+            workers=args.build_workers, use_cache=not args.no_cache)
     return 0
 
 

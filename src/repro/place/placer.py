@@ -62,7 +62,9 @@ class QuadraticPlacer:
     def _solve_quadratic(self) -> Tuple[np.ndarray, np.ndarray]:
         """Minimise clique-model quadratic wirelength with fixed ports."""
         n = len(self.cells)
-        lap = sp.lil_matrix((n, n))
+        # Laplacian entries keyed by (row, col), each summed in spring
+        # order; one CSR build at the end.
+        lap: Dict[Tuple[int, int], float] = {}
         bx = np.zeros(n)
         by = np.zeros(n)
         anchor = 1e-6  # tiny pull to die centre keeps the system SPD
@@ -78,13 +80,15 @@ class QuadraticPlacer:
 
         cx, cy = self.floorplan.width / 2, self.floorplan.height / 2
         for i in range(n):
-            lap[i, i] += anchor
+            lap[i, i] = lap.get((i, i), 0.0) + anchor
             bx[i] += anchor * cx
             by[i] += anchor * cy
 
-        lap = lap.tocsr()
-        x = spla.spsolve(lap, bx)
-        y = spla.spsolve(lap, by)
+        rows, cols = zip(*lap)
+        matrix = sp.csr_matrix((list(lap.values()), (rows, cols)),
+                               shape=(n, n))
+        x = spla.spsolve(matrix, bx)
+        y = spla.spsolve(matrix, by)
         jitter = self.floorplan.site_width
         x = x + self.rng.uniform(-jitter, jitter, size=n)
         y = y + self.rng.uniform(-jitter, jitter, size=n)
@@ -96,16 +100,16 @@ class QuadraticPlacer:
         if ia is None and ib is None:
             return
         if ia is not None and ib is not None:
-            lap[ia, ia] += weight
-            lap[ib, ib] += weight
-            lap[ia, ib] -= weight
-            lap[ib, ia] -= weight
+            lap[ia, ia] = lap.get((ia, ia), 0.0) + weight
+            lap[ib, ib] = lap.get((ib, ib), 0.0) + weight
+            lap[ia, ib] = lap.get((ia, ib), 0.0) - weight
+            lap[ib, ia] = lap.get((ib, ia), 0.0) - weight
         elif ia is not None:
-            lap[ia, ia] += weight
+            lap[ia, ia] = lap.get((ia, ia), 0.0) + weight
             bx[ia] += weight * pin_b.x
             by[ia] += weight * pin_b.y
         else:
-            lap[ib, ib] += weight
+            lap[ib, ib] = lap.get((ib, ib), 0.0) + weight
             bx[ib] += weight * pin_a.x
             by[ib] += weight * pin_a.y
 

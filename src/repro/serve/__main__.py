@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 
+from ..util.cliargs import add_build_workers_argument
+
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the `repro serve` flags to ``parser``."""
@@ -42,8 +44,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="skip the startup sweep that primes the "
                              "feature cache for every served design")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for cold dataset builds")
+    add_build_workers_argument(parser, legacy_alias=True)
     parser.add_argument("--no-flow-cache", action="store_true",
                         help="bypass the on-disk design cache")
     parser.add_argument("--cache-dir", default=None,
@@ -59,7 +60,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     from .server import PredictionServer, ServerConfig, warm_up
 
     reset_timings()
-    dataset = build_dataset(workers=args.workers,
+    dataset = build_dataset(workers=args.build_workers,
                             use_cache=not args.no_flow_cache,
                             cache_dir=args.cache_dir)
     designs = dataset.train + dataset.test

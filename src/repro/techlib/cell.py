@@ -17,6 +17,7 @@ Units used throughout the reproduction:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +39,11 @@ class TimingTable:
 
     def __init__(self, slew_axis: Sequence[float], load_axis: Sequence[float],
                  values: np.ndarray) -> None:
-        self.slew_axis = np.asarray(slew_axis, dtype=float)
-        self.load_axis = np.asarray(load_axis, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        # Private read-only copies: the scalar lookup path works on list
+        # mirrors of these arrays, which must never go stale.
+        self.slew_axis = np.array(slew_axis, dtype=float)
+        self.load_axis = np.array(load_axis, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.values.shape != (self.slew_axis.size, self.load_axis.size):
             raise ValueError(
                 f"table shape {self.values.shape} does not match axes "
@@ -48,12 +51,23 @@ class TimingTable:
             )
         if np.any(np.diff(self.slew_axis) <= 0) or np.any(np.diff(self.load_axis) <= 0):
             raise ValueError("table axes must be strictly increasing")
+        for array in (self.slew_axis, self.load_axis, self.values):
+            array.setflags(write=False)
+        self._slews = self.slew_axis.tolist()
+        self._loads = self.load_axis.tolist()
+        self._rows = self.values.tolist()
 
     def lookup(self, slew, load):
         """Bilinear interpolation; inputs outside the grid are clamped.
 
-        Accepts scalars or same-shaped arrays and broadcasts.
+        Accepts scalars or same-shaped arrays and broadcasts.  Two Python
+        numbers (``np.float64`` is a ``float``) take a pure-Python path
+        that returns a ``float`` bit-identical to the array path; STA
+        calls it once per timing arc, where numpy's per-call overhead on
+        0-d values would dominate.
         """
+        if isinstance(slew, (float, int)) and isinstance(load, (float, int)):
+            return self._lookup_scalar(float(slew), float(load))
         slew = np.clip(np.asarray(slew, dtype=float),
                        self.slew_axis[0], self.slew_axis[-1])
         load = np.clip(np.asarray(load, dtype=float),
@@ -74,6 +88,33 @@ class TimingTable:
         out = (v00 * (1 - ws) * (1 - wl) + v01 * (1 - ws) * wl
                + v10 * ws * (1 - wl) + v11 * ws * wl)
         return float(out) if np.isscalar(out) or out.ndim == 0 else out
+
+    def _lookup_scalar(self, slew: float, load: float) -> float:
+        """The array path's arithmetic, term for term, on Python floats."""
+        slews, loads = self._slews, self._loads
+        if slew < slews[0]:
+            slew = slews[0]
+        elif slew > slews[-1]:
+            slew = slews[-1]
+        if load < loads[0]:
+            load = loads[0]
+        elif load > loads[-1]:
+            load = loads[-1]
+        # bisect_left is searchsorted(side="left"); on a clamped value,
+        # starting the search at 1 is the array path's index clip.
+        i = bisect_left(slews, slew, 1) - 1
+        j = bisect_left(loads, load, 1) - 1
+        s0, s1 = slews[i], slews[i + 1]
+        l0, l1 = loads[j], loads[j + 1]
+        ws = (slew - s0) / (s1 - s0)
+        wl = (load - l0) / (l1 - l0)
+        row0, row1 = self._rows[i], self._rows[i + 1]
+        v00 = row0[j]
+        v01 = row0[j + 1]
+        v10 = row1[j]
+        v11 = row1[j + 1]
+        return (v00 * (1 - ws) * (1 - wl) + v01 * (1 - ws) * wl
+                + v10 * ws * (1 - wl) + v11 * ws * wl)
 
     @classmethod
     def from_linear_model(cls, slew_axis: Sequence[float],

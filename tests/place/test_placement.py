@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.netlist import make_design, map_design
 from repro.place import (
     Floorplan,
     MacroRegion,
+    QuadraticPlacer,
+    assign_port_locations,
     make_floorplan,
     place_design,
     total_hpwl,
@@ -135,3 +139,67 @@ class TestPlacement:
         fp = make_floorplan(nl)
         from repro.place import QuadraticPlacer
         QuadraticPlacer(nl, fp).run()  # must not crash
+
+
+def _lil_solve_quadratic(placer):
+    """Reference: the clique-model solve with element-wise ``lil_matrix``
+    writes, as the placer assembled its Laplacian before the triplet
+    build."""
+    n = len(placer.cells)
+    lap = sp.lil_matrix((n, n))
+    bx = np.zeros(n)
+    by = np.zeros(n)
+    anchor = 1e-6
+
+    def spring(pin_a, pin_b, weight):
+        ia = placer._index.get(pin_a.cell.name) if pin_a.cell else None
+        ib = placer._index.get(pin_b.cell.name) if pin_b.cell else None
+        if ia is None and ib is None:
+            return
+        if ia is not None and ib is not None:
+            lap[ia, ia] += weight
+            lap[ib, ib] += weight
+            lap[ia, ib] -= weight
+            lap[ib, ia] -= weight
+        elif ia is not None:
+            lap[ia, ia] += weight
+            bx[ia] += weight * pin_b.x
+            by[ia] += weight * pin_b.y
+        else:
+            lap[ib, ib] += weight
+            bx[ib] += weight * pin_a.x
+            by[ib] += weight * pin_a.y
+
+    for net in placer.netlist.nets.values():
+        pins = [p for p in net.pins if p is not None]
+        if len(pins) < 2 or net.is_clock:
+            continue
+        weight = 1.0 / (len(pins) - 1)
+        for i in range(len(pins)):
+            for j in range(i + 1, len(pins)):
+                spring(pins[i], pins[j], weight)
+
+    fp = placer.floorplan
+    for i in range(n):
+        lap[i, i] += anchor
+        bx[i] += anchor * fp.width / 2
+        by[i] += anchor * fp.height / 2
+    lap = lap.tocsr()
+    x = spla.spsolve(lap, bx)
+    y = spla.spsolve(lap, by)
+    jitter = fp.site_width
+    x = x + placer.rng.uniform(-jitter, jitter, size=n)
+    y = y + placer.rng.uniform(-jitter, jitter, size=n)
+    return x, y
+
+
+class TestQuadraticSolve:
+    @pytest.mark.parametrize("design", ["arm9", "chacha"])
+    def test_matches_lil_reference_bitwise(self, asap, design):
+        nl = map_design(make_design(design), asap)
+        fp = make_floorplan(nl, seed=4)
+        assign_port_locations(nl, fp)
+        x, y = QuadraticPlacer(nl, fp, seed=4)._solve_quadratic()
+        ref_x, ref_y = _lil_solve_quadratic(QuadraticPlacer(nl, fp, seed=4))
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(y, ref_y)

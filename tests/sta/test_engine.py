@@ -7,7 +7,8 @@ from repro.netlist import LogicGraph, Netlist, make_design, map_design
 from repro.place import place_design
 from repro.route import PreRouteEstimator, route_design
 from repro.sta import ClockConstraint, derive_constraints, run_sta
-from repro.techlib import make_asap7_library, make_sky130_library
+from repro.techlib import (TimingTable, make_asap7_library,
+                           make_sky130_library)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,31 @@ class TestEngineBasics:
         ats = [at for _, at in crit]
         assert ats == sorted(ats, reverse=True)
         assert len(crit) == 5
+
+    def test_scalar_lookups_match_array_path_bitwise(self, asap,
+                                                     monkeypatch):
+        """Every arc evaluation through the pure-Python scalar lookup
+        gives the same report, bit for bit, as routing each one through
+        the ndarray branch."""
+        nl = map_design(make_design("arm9"), asap)
+        place_design(nl, seed=0)
+        fast = run_sta(nl, PreRouteEstimator(nl))
+        lookup = TimingTable.lookup
+        calls = []
+
+        def via_arrays(table, slew, load):
+            calls.append(1)
+            out = lookup(table, np.array([slew], dtype=float),
+                         np.array([load], dtype=float))
+            return float(out[0])
+
+        monkeypatch.setattr(TimingTable, "lookup", via_arrays)
+        slow = run_sta(nl, PreRouteEstimator(nl))
+        assert calls
+        assert fast.arrival == slow.arrival
+        assert fast.slew == slow.slew
+        assert fast.endpoint_arrivals == slow.endpoint_arrivals
+        assert fast.pin_slack == slow.pin_slack
 
 
 class TestConstraints:

@@ -27,6 +27,15 @@ def table():
 
 
 class TestConstruction:
+    def test_arrays_are_read_only_copies(self):
+        values = np.zeros((2, 2))
+        table = TimingTable((0.1, 0.2), (0.1, 0.2), values)
+        values[0, 0] = 1.0
+        assert table.values[0, 0] == 0.0
+        for array in (table.slew_axis, table.load_axis, table.values):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TimingTable((0.1, 0.2), (0.1,), np.zeros((2, 2)))
@@ -88,3 +97,60 @@ class TestLookup:
         """Delay grows with output load."""
         lo, hi = min(l1, l2), max(l1, l2)
         assert TABLE.lookup(s, lo) <= TABLE.lookup(s, hi) + 1e-12
+
+
+#: Irregular axes and unstructured values, so reassociating the
+#: bilinear terms changes the rounding on a good share of inputs.
+BUMPY = TimingTable((0.007, 0.031, 0.113, 0.29, 0.61),
+                    (0.0009, 0.0071, 0.023, 0.087),
+                    np.random.default_rng(7).uniform(0.01, 2.0, (5, 4)))
+
+#: Slew/load values below, inside and above both axes, plus every
+#: breakpoint exactly.
+_SLEWS = st.one_of(st.floats(-1.0, 2.0, allow_nan=False),
+                   st.sampled_from([float(v) for v in BUMPY.slew_axis]))
+_LOADS = st.one_of(st.floats(-0.5, 0.5, allow_nan=False),
+                   st.sampled_from([float(v) for v in BUMPY.load_axis]))
+_KINDS = st.sampled_from(["float", "float64", "int"])
+
+
+def _as_input(value, kind):
+    if kind == "float64":
+        return np.float64(value)
+    if kind == "int":
+        return int(round(value))
+    return value
+
+
+def _assert_scalar_matches_array(table, s, l):
+    scalar = table.lookup(s, l)
+    array = table.lookup(np.array([s], dtype=float),
+                         np.array([l], dtype=float))[0]
+    assert type(scalar) is float
+    assert scalar == array
+
+
+class TestScalarPath:
+    """Two Python numbers take the pure-Python branch; it must return a
+    ``float`` equal, bit for bit, to the ndarray branch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(0.007, 0.61), l=st.floats(0.0009, 0.087))
+    def test_interior_matches_array_branch_exactly(self, s, l):
+        _assert_scalar_matches_array(BUMPY, s, l)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=_SLEWS, l=_LOADS, s_kind=_KINDS, l_kind=_KINDS)
+    def test_edges_and_input_types_match_array_branch(self, s, l, s_kind,
+                                                      l_kind):
+        _assert_scalar_matches_array(BUMPY, _as_input(s, s_kind),
+                                     _as_input(l, l_kind))
+
+    def test_every_breakpoint_pair(self):
+        for s in BUMPY.slew_axis:
+            for l in BUMPY.load_axis:
+                _assert_scalar_matches_array(BUMPY, s, l)
+
+    def test_infinities_clamp(self):
+        assert BUMPY.lookup(float("inf"), float("-inf")) \
+            == BUMPY.values[-1, 0]

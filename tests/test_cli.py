@@ -60,6 +60,47 @@ class TestParser:
             build_parser().parse_args(["train", "--no-fused"])
 
 
+class TestBuildWorkersFlag:
+    """``--build-workers`` is the one spelling of dataset-build processes;
+    ``--workers`` survives as a warning alias where it used to mean that."""
+
+    COMMANDS = (["predict", "usbf_device"], ["experiments"], ["serve"],
+                ["train"], ["ladder"])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_positive_count_parses(self, command):
+        args = build_parser().parse_args(command + ["--build-workers", "3"])
+        assert args.build_workers == 3
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_count_rejected(self, command, count):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--build-workers", count])
+
+    @pytest.mark.parametrize("command", COMMANDS[:3], ids=lambda c: c[0])
+    def test_workers_alias_maps_to_build_workers_and_warns(self, command):
+        with pytest.warns(FutureWarning, match="--build-workers"):
+            args = build_parser().parse_args(command + ["--workers", "2"])
+        assert args.build_workers == 2
+
+    @pytest.mark.parametrize("command", COMMANDS[:3], ids=lambda c: c[0])
+    def test_workers_alias_is_validated(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--workers", "0"])
+
+    def test_train_workers_still_means_training_shards(self):
+        args = build_parser().parse_args(["train", "--workers", "2"])
+        assert args.workers == 2
+        assert args.build_workers == 1
+
+    def test_experiments_module_entry_point_takes_the_flag(self):
+        from repro.experiments.runner import main as runner_main
+
+        with pytest.raises(SystemExit):
+            runner_main(["--build-workers", "0"])
+
+
 class TestCommands:
     def test_libs(self, capsys):
         assert main(["libs"]) == 0
