@@ -71,16 +71,16 @@ def timed_steps() -> int:
     different questions.  The per-step MINIMUM is the pure-compute
     floor — robust against neighbour noise on shared runners, and the
     machine-stable quantity the regression gate compares.  The MEAN is
-    what time-to-train actually scales with: the eager step's cost is
-    bimodal (a ~0.13 s compute floor plus frequent multi-second
-    allocator/GC storms from building and tearing down the ~60k-node
-    autograd graph every step, CPU-time-visible and present at the
-    seed revision too), so a min-of-N would silently discard exactly
-    the cost the compile layer removes.
+    what time-to-train actually scales with: any per-step allocation or
+    GC cost lands on some steps and not others, and a min-of-N would
+    discard it.  The eager graph holds no reference cycle (nodes record
+    an op name, not a closure), so it frees by reference counting and
+    the eager mean sits close to its minimum: ``compile_speedup`` and
+    ``compile_speedup_min`` are both ~1.0x on a 2-CPU box.
 
     Smoke mode still times 8 steps: the regression gate compares the
     eager variants' min against the committed floor, and with fewer
-    windows a run can miss a storm-free step entirely.
+    windows a run can miss a quiet step entirely.
     """
     return 8 if smoke_mode() else 10
 

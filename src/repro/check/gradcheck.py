@@ -16,7 +16,7 @@ Generalises the one-off finite-difference harness in
   gradients is a silent-precision bug;
 - each case is additionally run under :func:`repro.nn.no_grad`
   (:func:`check_no_grad`): the output must carry no parents and no
-  backward closure — anything else is a graph leak on the serving
+  recorded op — anything else is a graph leak on the serving
   path — and its values must be bit-identical to the grad-enabled
   forward, which is the contract that licenses inference-only fast
   paths such as the slice-maximum pooling kernel.
@@ -161,7 +161,7 @@ def check_no_grad(op_case: OpCase) -> List[str]:
     """Audit one case's inference contract under :func:`no_grad`.
 
     With gradients disabled the op must build no graph — no parent
-    references, no backward closure, ``requires_grad`` off — or every
+    references, no recorded op, ``requires_grad`` off — or every
     serving-path forward would pin its intermediates (a memory leak
     ``backward()`` never releases).  The values must also match the
     grad-enabled forward bit for bit: that equality is what licenses
@@ -188,8 +188,8 @@ def check_no_grad(op_case: OpCase) -> List[str]:
         problems.append(
             f"output retains {len(out._parents)} parent reference(s) "
             "under no_grad() (graph leak on the serving path)")
-    if out._backward is not None:
-        problems.append("output carries a backward closure under "
+    if out._op is not None:
+        problems.append("output records an op for backward under "
                         "no_grad()")
     if not np.array_equal(reference.data, out.data):
         diff = float(np.max(np.abs(reference.data - out.data)))

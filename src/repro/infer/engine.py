@@ -2,9 +2,10 @@
 
 Serving a trained :class:`~repro.model.TimingPredictor` through its
 training-oriented ``predict()`` pays for machinery inference never
-uses: the autograd graph (backward closures allocated and immediately
-discarded), one full GNN sweep + CNN forward per call even when the
-model has not changed, and a separate prior-MLP forward per design.
+uses: the autograd graph (parent links and op records built and
+immediately discarded), one full GNN sweep + CNN forward per call even
+when the model has not changed, and a separate prior-MLP forward per
+design.
 :class:`InferenceEngine` removes all three:
 
 - every forward runs inside :func:`repro.nn.no_grad`, so no graph is

@@ -15,8 +15,9 @@ The sweep runs as one autograd node whose forward is the whole
 levelised propagation in tight numpy (in-place level updates, BLAS
 message matmuls) and whose backward replays the levels in reverse.
 Its arithmetic lives once, in ``repro.nn.functional``
-(``_sweep_forward_raw`` / ``_sweep_backward_raw``), shared with the
-compiled step's kernel.
+(``_sweep_forward_raw`` / ``_sweep_backward_raw``); the backward runs
+only as the ``levelized_sweep`` VJP of ``repro.nn.compile``, for eager
+and compiled steps alike.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..features import PinGraph
 from ..nn import Linear, Module, Tensor, gather_rows
-from ..nn.functional import _sweep_backward_raw, _sweep_forward_raw
+from ..nn.functional import _sweep_forward_raw
 from ..nn.tensor import _finish
 from ..util import timed
 
@@ -97,30 +98,15 @@ def levelized_sweep(s: Tensor, w_net: Tensor, w_cell: Tensor,
 
     Forward runs the level-ordered sweep in plain numpy with in-place
     buffers (each node's row of ``h`` is written once, at its own
-    level).  Backward replays the levels in reverse topological order,
-    accumulating into per-array gradient buffers — the hand-written
-    adjoint of the forward sweep.
+    level).  Backward (the ``levelized_sweep`` VJP in
+    ``repro.nn.compile``) replays the levels in reverse topological
+    order, accumulating into per-array gradient buffers.
     """
     s_data = s.data
-    wn, wc = w_net.data, w_cell.data
     h = _sweep_forward_raw(
-        s_data, wn, wc, plan.steps, level0,
+        s_data, w_net.data, w_cell.data, plan.steps, level0,
         np.empty((num_nodes, s_data.shape[1]), dtype=s_data.dtype))
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_s = np.empty_like(s_data) if s.requires_grad else None
-        grad_wn = np.empty_like(wn) if w_net.requires_grad else None
-        grad_wc = np.empty_like(wc) if w_cell.requires_grad else None
-        _sweep_backward_raw(grad, wn, wc, plan.steps, level0, h,
-                            np.empty_like(h), grad_s, grad_wn, grad_wc)
-        if grad_s is not None:
-            out._send(s, grad_s)
-        if grad_wn is not None:
-            out._send(w_net, grad_wn)
-        if grad_wc is not None:
-            out._send(w_cell, grad_wc)
-
-    return _finish(h, (s, w_net, w_cell), backward, op="levelized_sweep",
+    return _finish(h, (s, w_net, w_cell), op="levelized_sweep",
                    attrs={"plan": plan, "level0": level0,
                           "num_nodes": num_nodes})
 

@@ -1,9 +1,9 @@
 """Trace-once / replay-many compilation of the training step.
 
 The autograd engine rebuilds an identical graph every training step:
-Tensor wrappers, parent tuples, and backward closures are allocated and
-garbage-collected thousands of times over a topology that never
-changes.  This module removes that steady-state overhead:
+Tensor wrappers, parent tuples and op attrs are allocated and freed
+over a topology that never changes.  This module removes that
+steady-state overhead:
 
 1. **Trace** — run one eager step inside :func:`trace`.  Every op the
    engine constructs is appended to a :class:`~repro.nn._tracing.Tape`
@@ -22,13 +22,20 @@ changes.  This module removes that steady-state overhead:
    Tensor graph, no closures built per step, no steady-state
    allocation on the schedule itself.
 
+**One VJP per op.**  :data:`KERNELS` maps each primitive to a forward
+kernel builder and a ``bwd`` builder, and that ``bwd`` builder is the
+op's only derivative: eager :meth:`Tensor.backward` builds it per node
+from the node's recorded op and attrs and calls it once, while the
+compiled step builds it once over preallocated buffers and replays it.
+
 Bit-for-bit equivalence with eager execution is a hard contract (it is
 what keeps eager and compiled checkpoints interchangeable): every
-kernel performs the same numpy arithmetic in the same order as the op
-closure it replaces, gradient accumulation mirrors the engine's
-first-contribution-assigns / later-contributions-add semantics, and
-the backward schedule replicates ``Tensor.backward``'s DFS ordering.
-``repro check`` enforces the contract per op (see
+forward kernel performs the same numpy arithmetic in the same order as
+the eager op; the backward is one VJP, shared; gradient accumulation
+mirrors the engine's first-contribution-assigns /
+later-contributions-add semantics; and both engines order the backward
+by the same :func:`~repro.nn.tensor.backward_order`.  ``repro check``
+enforces the contract per op (see
 ``repro.check.gradcheck.check_compiled``).
 
 **Buffer ownership.**  Forward buffers are the traced tensors' own
@@ -60,7 +67,7 @@ import numpy as np
 from . import _tracing
 from . import functional as F
 from ._tracing import Tape, TapeEntry
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, backward_order
 
 __all__ = [
     "CompileError", "ReplayMismatch", "CompiledStep", "trace",
@@ -132,7 +139,11 @@ def step_index(name: str, index: np.ndarray) -> np.ndarray:
 # Kernel registry
 # ----------------------------------------------------------------------
 class _OpCtx:
-    """Everything a kernel builder needs about one tape entry."""
+    """Everything a kernel builder needs about one op application.
+
+    The compiled step builds one per tape entry over its own buffers;
+    eager backward builds one per graph node over the node's arrays.
+    """
 
     __slots__ = ("op", "out", "ins", "accs", "attrs", "dtype", "f64")
 
@@ -150,7 +161,10 @@ class _OpCtx:
 
 #: op name -> {"fwd": builder, "bwd": builder}.  Builders take an
 #: :class:`_OpCtx` and return a no-arg forward callable (or ``None``
-#: for a free alias) / a one-arg ``fn(grad)`` backward callable.
+#: for a free alias) / a one-arg ``fn(grad)`` backward callable.  The
+#: ``bwd`` builders are the engine's only derivatives: eager backward
+#: calls them too, with one-shot contexts (see ``Tensor.backward``),
+#: so a ``bwd`` builder must not mutate ``attrs`` or the gradient.
 KERNELS: Dict[str, Dict[str, Callable[[_OpCtx], Optional[Callable]]]] = {}
 
 
@@ -1012,23 +1026,8 @@ class CompiledStep:
             else:
                 self._leaf_syncs.append((t, self._buf[key]))
 
-        # -- backward order: replicate Tensor.backward's DFS -----------
-        order: List[Tensor] = []
-        seen: set = set()
-        dfs: List[Tuple[Tensor, bool]] = [(root, False)]
-        while dfs:
-            node, processed = dfs.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            dfs.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    dfs.append((parent, False))
-
+        # -- backward order: the one Tensor.backward uses ---------------
+        order = backward_order(root)
         self._gen = [0]
         self._grad: Dict[int, _GradSlot] = {}
         for node in order:

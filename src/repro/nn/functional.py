@@ -19,16 +19,6 @@ from .tensor import Tensor, _finish, as_tensor
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _inference_only(grad: np.ndarray, out: Tensor) -> None:
-    """Backward placeholder for ops with a dedicated no-grad fast path.
-
-    Such ops are only reachable with gradients disabled, so ``_finish``
-    drops this function without constructing a wiring closure; it can
-    never legitimately run.
-    """
-    raise AssertionError("inference-only op entered backward")
-
-
 # ----------------------------------------------------------------------
 # Softmax family
 # ----------------------------------------------------------------------
@@ -59,13 +49,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     standard ``g - softmax * sum(g)``.
     """
     out_data = _log_softmax_raw(x.data, axis)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        softm = np.exp(out_data)
-        out._send(x, grad - softm * grad.sum(axis=axis, keepdims=True))
-
-    return _finish(out_data, (x,), backward, op="log_softmax",
-                   attrs={"axis": axis})
+    return _finish(out_data, (x,), op="log_softmax", attrs={"axis": axis})
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -138,24 +122,6 @@ def _im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     return np.ascontiguousarray(cols), oh, ow
 
 
-def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
-            kernel: Tuple[int, int], stride: int, padding: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Fold columns back into an NCHW array (adjoint of :func:`_im2col`)."""
-    n, c, h, w = x_shape
-    kh, kw = kernel
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                patches[:, :, i, j]
-    if padding:
-        out = out[:, :, padding:hp - padding, padding:wp - padding]
-    return out
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
            padding: int = 0, cols: Columns = None) -> Tensor:
     """2D convolution on NCHW input.
@@ -188,22 +154,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride: int = 1,
     out_data = out_data.reshape(x.shape[0], c_out, oh, ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_mat = grad.reshape(x.shape[0], c_out, oh * ow)
-        if weight.requires_grad:
-            g_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
-            out._send(weight, g_w.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            out._send(bias, grad_mat.sum(axis=(0, 2)))
-        if x.requires_grad:
-            g_cols = np.matmul(w_mat.T, grad_mat)
-            g_x = _col2im(g_cols, x.shape, (kh, kw), stride, padding, oh, ow)
-            out._send(x, g_x)
-
-    return _finish(out_data, parents, backward, op="conv2d",
+    return _finish(out_data, parents, op="conv2d",
                    attrs={"stride": stride, "padding": padding,
-                          "has_bias": bias is not None})
+                          "has_bias": bias is not None},
+                   saved={"_cols6": cols.reshape(x.shape[0], c_in, kh, kw,
+                                                 oh, ow)})
 
 
 def _max_pool_scatter(grad: np.ndarray, arg: np.ndarray, kernel: int,
@@ -211,8 +166,8 @@ def _max_pool_scatter(grad: np.ndarray, arg: np.ndarray, kernel: int,
     """Route window-max gradients to their argmax cells (``out=`` style).
 
     ``arg`` holds each window's flat argmax and ``gx`` must be zeroed by
-    the caller; shared by the eager op and the compiled kernel so both
-    produce bit-identical input gradients.
+    the caller.  The body of the ``max_pool2d`` VJP in
+    :mod:`repro.nn.compile`.
     """
     n, c, oh, ow = arg.shape
     h, w = gx.shape[2], gx.shape[3]
@@ -256,7 +211,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
                     out_data = part.copy()
                 else:
                     np.maximum(out_data, part, out=out_data)
-        return _finish(out_data, (x,), _inference_only)
+        return _finish(out_data, (x,), op=None)
     strides = x.data.strides
     shape = (n, c, oh, ow, kernel, kernel)
     view_strides = (strides[0], strides[1], strides[2] * stride,
@@ -266,13 +221,9 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     flat = windows.reshape(n, c, oh, ow, kernel * kernel)
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(x, _max_pool_scatter(grad, arg, kernel, stride,
-                                       np.zeros_like(x.data)))
-
-    return _finish(out_data, (x,), backward, op="max_pool2d",
-                   attrs={"kernel": kernel, "stride": stride})
+    return _finish(out_data, (x,), op="max_pool2d",
+                   attrs={"kernel": kernel, "stride": stride},
+                   saved={"_arg": arg})
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
@@ -288,17 +239,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int = None) -> Tensor:
     windows = np.lib.stride_tricks.as_strided(x.data, shape=shape,
                                               strides=view_strides)
     out_data = windows.mean(axis=(-1, -2))
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        g_x = np.zeros_like(x.data)
-        g = grad * scale
-        for i in range(kernel):
-            for j in range(kernel):
-                g_x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g
-        out._send(x, g_x)
-
-    return _finish(out_data, (x,), backward, op="avg_pool2d",
+    return _finish(out_data, (x,), op="avg_pool2d",
                    attrs={"kernel": kernel, "stride": stride})
 
 
@@ -355,11 +296,11 @@ def _im2col_out(x: np.ndarray, kernel: Tuple[int, int], stride: int,
 def _col2im_out(cols: np.ndarray, kernel: Tuple[int, int], stride: int,
                 padding: int, oh: int, ow: int, gpad: np.ndarray,
                 gx: np.ndarray) -> np.ndarray:
-    """:func:`_col2im` into preallocated buffers.
+    """Fold columns back into NCHW (the adjoint of :func:`_im2col`).
 
     ``gpad`` is the padded accumulation buffer (pass ``gx`` itself when
     ``padding == 0``); both are zeroed here.  Returns ``gx`` holding
-    the unpadded fold, bit-identical to :func:`_col2im`.
+    the unpadded fold.
     """
     n, c, hp, wp = gpad.shape
     kh, kw = kernel

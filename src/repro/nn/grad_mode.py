@@ -2,23 +2,24 @@
 
 Inference never calls ``backward()``, yet every op still pays for it:
 :func:`Tensor._make` wires parents into the result and every op
-attaches a backward closure, keeping the whole forward graph (and all
-its intermediate buffers) alive until the output is garbage collected.
-:class:`no_grad` turns that bookkeeping off for a dynamic scope::
+records its name and attrs (plus any forward state its VJP needs),
+keeping the whole forward graph (and all its intermediate buffers)
+alive until the output is dropped.  :class:`no_grad` turns that
+bookkeeping off for a dynamic scope::
 
     with no_grad():
         preds = model.predict(design)     # plain numpy forward
 
 Inside the block every op produces a detached ``requires_grad=False``
-tensor — no parents, no closure, bit-identical forward values (the
+tensor — no parents, no recorded op, bit-identical forward values (the
 numeric kernels are untouched; only graph recording is skipped).
 
 The flag is **thread-local**: a serving thread running forward-only
 inference never disables gradient recording for a training thread.
-All ops funnel through :meth:`Tensor._make` (directly or via
-``_finish``), so honoring the flag there covers ``tensor.py``,
-``functional.py``, ``layers.py`` and the hand-written fused kernels
-alike — and any future op built on the same plumbing inherits it.
+All ops funnel through :meth:`Tensor._make` (via ``_finish``), so
+honoring the flag there covers ``tensor.py``, ``functional.py``,
+``layers.py`` and the fused sweep alike — and any future op built on
+the same plumbing inherits it.
 ``repro check`` audits exactly that invariant (see
 :func:`repro.check.gradcheck.audit_no_grad`).
 """

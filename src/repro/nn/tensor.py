@@ -10,6 +10,14 @@ broadcasting elementwise arithmetic, matrix multiplication, reductions,
 shape manipulation, indexing/gather, concatenation, and the nonlinearities
 used by the timing predictor (ReLU, tanh, sigmoid, exp, log, softplus).
 
+The graph holds data, not code: each node records the name of the op
+that built it and that op's attrs, and :meth:`Tensor.backward` looks up
+the op's VJP in the compile layer's registry
+(``repro.nn.compile.KERNELS[op]["bwd"]``), the one derivative the
+compiled step replays too.  With no closure pointing back at its node,
+a graph holds no reference cycle and frees by reference counting as
+soon as the loss is dropped.
+
 Example
 -------
 >>> import numpy as np
@@ -24,7 +32,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,15 +81,19 @@ class Tensor:
         :attr:`grad` during :meth:`backward`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents",
-                 "name", "_pending_grads")
+    __slots__ = ("data", "requires_grad", "grad", "_op", "_attrs",
+                 "_parents", "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: Optional[str] = None) -> None:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        #: The op that built this node (None for a leaf) and its attrs
+        #: plus any forward state its VJP reads; ``backward`` hands both
+        #: to ``repro.nn.compile.KERNELS[_op]["bwd"]``.
+        self._op: Optional[str] = None
+        self._attrs: Optional[dict] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -127,22 +139,20 @@ class Tensor:
     # Graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
+    def _make(data: np.ndarray, parents: Tuple["Tensor", ...]) -> "Tensor":
         """Create a result tensor wired into the autograd graph.
 
         Inside a :func:`repro.nn.no_grad` scope the result is detached:
-        no parents are recorded and no backward closure is kept, so the
+        no parents are recorded (and ``_finish`` records no op), so the
         forward graph is never materialised.  Every op funnels through
-        here (directly or via ``_finish``), which is what makes the
-        no-grad fast path engine-wide rather than per-op.
+        here (via ``_finish``), which is what makes the no-grad fast
+        path engine-wide rather than per-op.
         """
         requires = is_grad_enabled() and \
             any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents
-            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -155,6 +165,11 @@ class Tensor:
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor.
+
+        Each interior node's gradient is handed to its op's VJP,
+        ``KERNELS[op]["bwd"]`` of :mod:`repro.nn.compile` — the same
+        builder the compiled step schedules — with the node's parents'
+        values, its own value, and one gradient sink per parent.
 
         Parameters
         ----------
@@ -171,62 +186,20 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = _as_array(grad)
 
-        # Topologically order the graph so each node's output gradient is
-        # complete before its backward function runs.
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
+        for node in reversed(backward_order(self)):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node._backward is None:
+            if node._op is None:
                 node._accumulate(node_grad)
                 continue
-            # Leaf accumulation happens inside the backward closures via
-            # the _receive helper captured in each op.
-            node._receive_upstream(node_grad, grads)
-
-    def _receive_upstream(self, node_grad: np.ndarray,
-                          grads: dict[int, np.ndarray]) -> None:
-        """Dispatch an upstream gradient to this node's backward closure."""
-        if self._backward is None:
-            self._accumulate(node_grad)
-            return
-        # Backward closures push into `grads` via this bound helper.
-        self._pending_grads = grads  # type: ignore[attr-defined]
-        try:
-            self._backward(node_grad)
-        finally:
-            del self._pending_grads  # type: ignore[attr-defined]
-
-    def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
-        """Route ``grad`` to ``parent`` during backward traversal."""
-        if not parent.requires_grad:
-            return
-        if parent._backward is None and not parent._parents:
-            parent._accumulate(grad)
-            return
-        grads = self._pending_grads  # type: ignore[attr-defined]
-        key = id(parent)
-        if key in grads:
-            grads[key] = grads[key] + grad
-        else:
-            grads[key] = grad
+            parents = node._parents
+            ctx = _OpCtx(node._op, node.data, [p.data for p in parents],
+                         [_sender(p, grads) if p.requires_grad else None
+                          for p in parents],
+                         node._attrs, node.data.dtype)
+            KERNELS[node._op]["bwd"](ctx)(node_grad)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -234,32 +207,19 @@ class Tensor:
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
         out_data = self.data + other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad, self.shape))
-            out._send(other_t, _unbroadcast(grad, other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="add")
+        return _finish(out_data, (self, other_t), op="add")
 
     __radd__ = __add__
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
         out_data = self.data * other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad * other_t.data, self.shape))
-            out._send(other_t, _unbroadcast(grad * self.data, other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="mul")
+        return _finish(out_data, (self, other_t), op="mul")
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, -grad)
-
-        return _finish(-self.data, (self,), backward, op="neg")
+        return _finish(-self.data, (self,), op="neg")
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
@@ -270,15 +230,7 @@ class Tensor:
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
         out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad / other_t.data, self.shape))
-            out._send(
-                other_t,
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape),
-            )
-
-        return _finish(out_data, (self, other_t), backward, op="truediv")
+        return _finish(out_data, (self, other_t), op="truediv")
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
@@ -287,34 +239,13 @@ class Tensor:
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
         out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * exponent * self.data ** (exponent - 1))
-
-        return _finish(out_data, (self,), backward, op="pow",
+        return _finish(out_data, (self,), op="pow",
                        attrs={"exponent": exponent})
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = as_tensor(other)
         out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            if self.requires_grad:
-                if other_t.data.ndim == 1:
-                    g_self = np.outer(grad, other_t.data) if grad.ndim == 1 \
-                        else grad[..., None] * other_t.data
-                else:
-                    g_self = grad @ np.swapaxes(other_t.data, -1, -2)
-                out._send(self, _unbroadcast(np.asarray(g_self), self.shape))
-            if other_t.requires_grad:
-                if self.data.ndim == 1:
-                    g_other = np.outer(self.data, grad) if grad.ndim == 1 \
-                        else self.data[..., None] @ grad[..., None, :]
-                else:
-                    g_other = np.swapaxes(self.data, -1, -2) @ grad
-                out._send(other_t, _unbroadcast(np.asarray(g_other), other_t.shape))
-
-        return _finish(out_data, (self, other_t), backward, op="matmul")
+        return _finish(out_data, (self, other_t), op="matmul")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -322,14 +253,7 @@ class Tensor:
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            out._send(self, np.broadcast_to(g, self.shape).copy())
-
-        return _finish(out_data, (self,), backward, op="sum",
+        return _finish(out_data, (self,), op="sum",
                        attrs={"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
@@ -349,20 +273,7 @@ class Tensor:
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            g = grad
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(self.data.dtype)
-            # Split gradient among ties to keep the op well defined.
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None \
-                else mask.sum()
-            out._send(self, mask * g / denom)
-
-        return _finish(out_data, (self,), backward, op="max",
+        return _finish(out_data, (self,), op="max",
                        attrs={"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------
@@ -372,139 +283,137 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad.reshape(self.shape))
-
-        return _finish(out_data, (self,), backward, op="reshape",
+        return _finish(out_data, (self,), op="reshape",
                        attrs={"shape": tuple(shape)})
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t: Optional[Tuple[int, ...]] = tuple(axes) if axes else None
         out_data = self.data.transpose(axes_t)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            if axes_t is None:
-                out._send(self, grad.transpose())
-            else:
-                inverse = np.argsort(axes_t)
-                out._send(self, grad.transpose(tuple(inverse)))
-
-        return _finish(out_data, (self,), backward, op="transpose",
+        return _finish(out_data, (self,), op="transpose",
                        attrs={"axes": axes_t})
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            out._send(self, full)
-
-        return _finish(np.asarray(out_data), (self,), backward,
-                       op="getitem", attrs={"index": index})
+        return _finish(np.asarray(out_data), (self,), op="getitem",
+                       attrs={"index": index})
 
     # ------------------------------------------------------------------
     # Nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * (self.data > 0))
-
-        return _finish(out_data, (self,), backward, op="relu")
+        return _finish(out_data, (self,), op="relu")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * (1.0 - out_data ** 2))
-
-        return _finish(out_data, (self,), backward, op="tanh")
+        return _finish(out_data, (self,), op="tanh")
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * out_data * (1.0 - out_data))
-
-        return _finish(out_data, (self,), backward, op="sigmoid")
+        return _finish(out_data, (self,), op="sigmoid")
 
     def exp(self) -> "Tensor":
         out_data = np.exp(np.clip(self.data, -700.0, 700.0))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * out_data)
-
-        return _finish(out_data, (self,), backward, op="exp")
+        return _finish(out_data, (self,), op="exp")
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad / self.data)
-
-        return _finish(out_data, (self,), backward, op="log")
+        return _finish(out_data, (self,), op="log")
 
     def softplus(self) -> "Tensor":
         """Numerically stable ``log(1 + exp(x))``."""
         x = self.data
         out_data = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-            out._send(self, grad * sig)
-
-        return _finish(out_data, (self,), backward, op="softplus")
+        return _finish(out_data, (self,), op="softplus")
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * np.sign(self.data))
-
-        return _finish(out_data, (self,), backward, op="abs")
+        return _finish(out_data, (self,), op="abs")
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            inside = (self.data >= low) & (self.data <= high)
-            out._send(self, grad * inside)
-
-        return _finish(out_data, (self,), backward, op="clip",
+        return _finish(out_data, (self,), op="clip",
                        attrs={"low": low, "high": high})
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
 
-def _finish(data: np.ndarray, parents: Tuple[Tensor, ...],
-            backward: Callable[[np.ndarray, Tensor], None],
-            op: Optional[str] = None, attrs: Optional[dict] = None) -> Tensor:
-    """Build a graph node whose backward closure receives (grad, out).
+def backward_order(root: Tensor) -> List[Tensor]:
+    """Post-order DFS of the grad-requiring graph below ``root``.
 
-    Under :func:`no_grad` the result requires no gradient, so the
-    wiring closure is never constructed and ``backward`` is dropped.
-
-    ``op``/``attrs`` name the operation for the trace/compile layer
-    (:mod:`repro.nn.compile`): while a trace is active every op is
-    appended to the tape, including ones producing ``requires_grad=
-    False`` results — their *values* still feed the forward replay.
-    An op without a name poisons compilation (the tape records it and
-    the compiler refuses), never silently miscomputes.
+    Reversed, this is the order backward visits nodes: every consumer
+    of a node runs its VJP before the node's own gradient is used.
+    Eager :meth:`Tensor.backward` and ``repro.nn.compile.CompiledStep``
+    both schedule from it, so their gradient sums happen in the same
+    order and agree bit for bit.
     """
-    out = Tensor._make(np.asarray(data), parents, _NO_BACKWARD)
+    order: List[Tensor] = []
+    seen: set = set()
+    stack: List[Tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def _sender(parent: Tensor,
+            grads: Dict[int, np.ndarray]) -> Callable[[np.ndarray], None]:
+    """The gradient sink a VJP calls for ``parent`` during backward.
+
+    A leaf accumulates into ``.grad`` at once.  An interior node's first
+    contribution is stored as is and later ones are added (``a + b``);
+    the compiled step's accumulators mirror exactly this.
+    """
+    if parent._op is None:
+        return parent._accumulate
+    key = id(parent)
+
+    def send(grad: np.ndarray) -> None:
+        previous = grads.get(key)
+        grads[key] = grad if previous is None else previous + grad
+    return send
+
+
+def _finish(data: np.ndarray, parents: Tuple[Tensor, ...],
+            op: Optional[str], attrs: Optional[dict] = None,
+            saved: Optional[dict] = None) -> Tensor:
+    """Build the graph node of one ``op`` applied to ``parents``.
+
+    A node that requires grad records ``op`` and ``attrs``, plus the
+    forward state in ``saved`` that the op's VJP reads (conv2d's
+    unfolded columns, max_pool2d's argmax).  An op with no VJP in
+    ``repro.nn.compile.KERNELS`` is refused here, when it is built,
+    rather than in the middle of a later ``backward()``.  Under
+    :func:`no_grad` nothing is recorded.
+
+    While a trace is active every op is appended to the tape with its
+    ``attrs`` (never ``saved``), including ones producing
+    ``requires_grad=False`` results — their *values* still feed the
+    forward replay.  An op without a name poisons compilation (the
+    tape records it and the compiler refuses), never silently
+    miscomputes.
+    """
+    out = Tensor._make(np.asarray(data), parents)
     if out.requires_grad:
-        out._backward = lambda grad: backward(grad, out)
+        if op not in KERNELS:
+            raise NotImplementedError(
+                f"op {op!r} has no VJP: register it in "
+                "repro.nn.compile.KERNELS before differentiating it")
+        out._op = op
+        out._attrs = {**(attrs or {}), **(saved or {})}
     if _tracing.ACTIVE:
         _tracing.emit(op, out, parents, attrs)
     return out
-
-
-def _NO_BACKWARD(grad: np.ndarray) -> None:  # placeholder, never called
-    raise AssertionError("placeholder backward invoked")
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
@@ -517,15 +426,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(int(start), int(stop))
-            out._send(tensor, grad[tuple(index)])
-
-    return _finish(out_data, tuple(tensors), backward, op="concatenate",
+    return _finish(out_data, tuple(tensors), op="concatenate",
                    attrs={"axis": axis, "sizes": tuple(sizes)})
 
 
@@ -533,13 +434,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new axis."""
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            out._send(tensor, np.squeeze(piece, axis=axis))
-
-    return _finish(out_data, tuple(tensors), backward, op="stack",
+    return _finish(out_data, tuple(tensors), op="stack",
                    attrs={"axis": axis})
 
 
@@ -548,12 +443,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a_t, b_t = as_tensor(a), as_tensor(b)
     cond = np.asarray(condition, dtype=bool)
     out_data = np.where(cond, a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(a_t, _unbroadcast(grad * cond, a_t.shape))
-        out._send(b_t, _unbroadcast(grad * (~cond), b_t.shape))
-
-    return _finish(out_data, (a_t, b_t), backward, op="where",
+    return _finish(out_data, (a_t, b_t), op="where",
                    attrs={"cond": cond})
 
 
@@ -561,13 +451,7 @@ def gather_rows(source: Tensor, index: np.ndarray) -> Tensor:
     """Select rows ``source[index]`` differentiably (index is integer array)."""
     idx = np.asarray(index, dtype=np.int64)
     out_data = source.data[idx]
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        full = np.zeros_like(source.data)
-        np.add.at(full, idx, grad)
-        out._send(source, full)
-
-    return _finish(out_data, (source,), backward, op="gather_rows",
+    return _finish(out_data, (source,), op="gather_rows",
                    attrs={"index": idx})
 
 
@@ -581,14 +465,15 @@ def scatter_add_rows(values: Tensor, index: np.ndarray, num_rows: int) -> Tensor
     out_shape = (num_rows,) + values.shape[1:]
     out_data = np.zeros(out_shape, dtype=values.data.dtype)
     np.add.at(out_data, idx, values.data)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(values, grad[idx])
-
-    return _finish(out_data, (values,), backward, op="scatter_add_rows",
+    return _finish(out_data, (values,), op="scatter_add_rows",
                    attrs={"index": idx, "num_rows": num_rows})
 
 
 def no_grad_copy(tensor: Tensor) -> np.ndarray:
     """Return a detached copy of the tensor's data."""
     return tensor.data.copy()
+
+
+# The VJP registry lives in the compile layer, which imports this module;
+# binding it last lets either module be imported first.
+from .compile import KERNELS, _OpCtx

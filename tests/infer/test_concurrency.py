@@ -159,11 +159,11 @@ class TestNoGradLeak:
         made = []
         original = Tensor._make
 
-        def spy(data, parents, backward):
-            out = original(data, parents, backward)
+        def spy(data, parents):
+            out = original(data, parents)
             made.append(1)
             if (out.requires_grad or out._parents != ()
-                    or out._backward is not None):
+                    or out._op is not None):
                 leaks.append(repr(out))
             return out
 

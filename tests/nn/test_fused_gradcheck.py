@@ -19,6 +19,20 @@ from repro.nn import Tensor, gather_rows, scatter_add_rows
 from repro.nn import functional as F
 
 
+def _col2im_reference(cols, x_shape, kernel, stride, padding, oh, ow):
+    """Test-local fold of im2col columns back into NCHW (its adjoint)."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    patches = cols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * oh:stride,
+                j:j + stride * ow:stride] += patches[:, :, i, j]
+    return out[:, :, padding:hp - padding, padding:wp - padding]
+
+
 def assert_case_clean(op, label, build, atol=1e-5):
     problems = check_case(OpCase(op, label, build, atol=atol))
     assert problems == [], "\n".join(problems)
@@ -61,7 +75,8 @@ class TestFusedConv2d:
                                    atol=1e-10)
         g_cols = np.einsum("ok,nol->nkl", w_mat, grad)
         np.testing.assert_allclose(
-            tx.grad, F._col2im(g_cols, x.shape, (3, 3), 1, 1, oh, ow),
+            tx.grad,
+            _col2im_reference(g_cols, x.shape, (3, 3), 1, 1, oh, ow),
             atol=1e-10)
 
     def test_precomputed_cols_match_unfold(self):

@@ -3,7 +3,7 @@
 ``no_grad()`` must (a) be a reentrant context manager and decorator,
 (b) be thread-local, (c) leave forward values bit-identical to the
 grad-enabled path, and (d) suppress *all* graph construction — no
-parents, no backward closures, no requires_grad — for every op routed
+parents, no recorded op, no requires_grad — for every op routed
 through ``Tensor._make``.
 """
 
@@ -25,7 +25,7 @@ from repro.nn import (
 
 def _graph_free(t: Tensor) -> bool:
     return (not t.requires_grad and t._parents == ()
-            and t._backward is None)
+            and t._op is None)
 
 
 class TestGradModeFlag:

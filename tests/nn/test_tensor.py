@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, gather_rows, scatter_add_rows, stack, where
-from repro.nn.tensor import _unbroadcast
+from repro.nn import (Tensor, concatenate, gather_rows, no_grad,
+                      scatter_add_rows, stack, where)
+from repro.nn.compile import KERNELS
+from repro.nn.tensor import _finish, _unbroadcast
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -243,3 +245,46 @@ class TestGradients:
         t = Tensor(x.copy(), requires_grad=True)
         t.clip(-1.0, 1.0).sum().backward()
         np.testing.assert_allclose(t.grad, [0.0, 1.0, 1.0, 0.0])
+
+
+class TestVjpRegistry:
+    """Each op's only derivative is its ``KERNELS[op]["bwd"]`` builder."""
+
+    def test_unregistered_op_fails_at_build_time(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(NotImplementedError, match="'frobnicate'"):
+            _finish(x.data * 2.0, (x,), op="frobnicate")
+
+    def test_unregistered_op_builds_without_grad(self):
+        x = Tensor(np.ones(3))
+        out = _finish(x.data * 2.0, (x,), op="frobnicate")
+        assert not out.requires_grad and out._op is None
+        with no_grad():
+            t = Tensor(np.ones(3), requires_grad=True)
+            assert _finish(t.data, (t,), op=None)._op is None
+
+    def test_eager_backward_runs_the_registry_vjp(self, monkeypatch):
+        calls = []
+        relu_bwd = KERNELS["relu"]["bwd"]
+
+        def spy(ctx):
+            calls.append(ctx.op)
+            return relu_bwd(ctx)
+
+        monkeypatch.setitem(KERNELS, "relu", {**KERNELS["relu"],
+                                              "bwd": spy})
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        x.relu().sum().backward()
+        assert calls == ["relu"]
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+
+    def test_nodes_record_op_and_saved_state_off_the_tape(self):
+        from repro.nn import functional as F
+        from repro.nn.compile import trace
+
+        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+        with trace() as tape:
+            out = F.max_pool2d(x, kernel=2)
+        assert out._op == "max_pool2d"
+        assert set(out._attrs) == {"kernel", "stride", "_arg"}
+        assert set(tape.entries[-1].attrs) == {"kernel", "stride"}
