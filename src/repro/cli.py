@@ -376,7 +376,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     from .experiments import build_dataset
-    from .infer import InferenceEngine, load_predictor
+    from .infer import InferenceEngine
+    from .serve.__main__ import model_from_args
     from .train import r2_score
     from .util import reset_timings, timing_report
 
@@ -392,23 +393,9 @@ def cmd_predict(args) -> int:
         print(f"unknown design {exc.args[0]!r}; choose from: {known}")
         return 1
 
-    if args.model:
-        model = load_predictor(args.model)
-        if model.init_config["in_features"] != dataset.in_features:
-            print(f"checkpoint expects {model.init_config['in_features']}"
-                  f" input features, dataset has {dataset.in_features}")
-            return 1
-    else:
-        from .model import TimingPredictor
-        from .train import OursTrainer, TrainConfig
-
-        print(f"no --model given; training for {args.train_steps} "
-              f"steps ...")
-        model = TimingPredictor(dataset.in_features, seed=args.seed)
-        trainer = OursTrainer(
-            model, dataset.train,
-            TrainConfig(steps=args.train_steps, seed=args.seed))
-        trainer.fit()
+    model = model_from_args(args, dataset)
+    if model is None:
+        return 1
 
     mc_samples = args.mc_samples
     if args.uncertainty and mc_samples <= 0:

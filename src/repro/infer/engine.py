@@ -6,7 +6,7 @@ uses: the autograd graph (parent links and op records built and
 immediately discarded), one full GNN sweep + CNN forward per call even
 when the model has not changed, and a separate prior-MLP forward per
 design.
-:class:`InferenceEngine` removes all three:
+:class:`InferenceEngine` removes all three, on one extraction path:
 
 - every forward runs inside :func:`repro.nn.no_grad`, so no graph is
   recorded (bit-identical values, no bookkeeping);
@@ -14,22 +14,25 @@ design.
   :class:`~repro.infer.cache.FeatureCache` keyed by the model's weight
   digest, so repeated queries — the serving pattern — skip the GNN and
   CNN entirely and reduce to two small matmuls;
-- ``predict_many`` merges the queried designs into one disjoint-union
-  graph (reusing :func:`repro.train.fused.merge_pin_graphs`) for a
-  single levelised sweep + one stacked CNN forward, and hoists the
-  transductive population-prior update out of the per-design loop into
-  one batched prior-MLP forward;
+- every cache miss, whether it came from ``predict_many`` or a
+  single-design ``predict``, is extracted by one fused forward: the
+  missing designs merge into one disjoint-union graph (reusing
+  :func:`repro.train.fused.merge_pin_graphs`) for a single levelised
+  sweep + one stacked CNN forward, and the transductive
+  population-prior update (Equation 7, with the queried design's own
+  paths folded into the node population) runs as one batched
+  prior-MLP forward;
 - the CNN is the training model's own ``LayoutCNN.forward`` under
   ``no_grad`` (one CNN forward for training and serving), and the
-  *weight-independent* parts of a cold extraction — the first conv
-  layer's im2col columns (handed to the CNN through ``cols=``) and the
-  fused batch structure, both functions of the immutable design data
-  alone — are memoised per design/design-set, so they survive weight
-  updates that invalidate the feature cache.
+  *weight-independent* batch structure of a cold extraction — union
+  graph, stacked path images and the first conv layer's im2col columns
+  (handed to the CNN through ``cols=``) — is memoised per design set,
+  keyed by the designs' content digests, so it survives weight updates
+  that invalidate the feature cache.
 
-Numerics are the training path's: every prediction matches
-``TimingPredictor.predict`` to ~1e-10 (asserted by
-``tests/infer/test_engine.py`` and ``benchmarks/bench_inference.py``).
+Numerics are the training path's: ``predict`` is bitwise equal to
+``TimingPredictor.predict`` (asserted by ``tests/infer/test_engine.py``;
+``benchmarks/bench_inference.py`` checks every variant to 1e-10).
 
 The engine is **thread-safe and resident-process-safe** (the contract
 ``repro.serve`` builds on, DESIGN.md §13):
@@ -37,9 +40,9 @@ The engine is **thread-safe and resident-process-safe** (the contract
 - every public entry point enters :func:`repro.nn.no_grad` itself —
   the flag is thread-local, so a server worker thread calling in from
   a fresh thread must not depend on the constructing thread's scope;
-- the weight-independent structure caches are bounded LRUs
-  (``max_struct_entries`` / ``max_column_entries``), so an open-ended
-  stream of distinct request mixes cannot grow memory without limit;
+- the batch-structure cache is a bounded LRU (``max_struct_entries``),
+  so an open-ended stream of distinct request mixes cannot grow memory
+  without limit;
 - predictions take a shared read lock and :meth:`swap_model` takes the
   write side, so a hot-reload can never interleave with an in-flight
   forward (requests see the old weights or the new, never a mix);
@@ -60,25 +63,12 @@ import numpy as np
 from ..flow import DesignData
 from ..model import TimingPredictor
 from ..nn import Tensor, no_grad
-from ..nn.functional import Columns, _im2col
+from ..nn.functional import _im2col
 from ..train.fused import FusedDesignBatch, slice_ranges
 from ..util import RWLock, timed
 from .cache import BoundedLRU, FeatureCache, FeatureTriple, weight_digest
 
 __all__ = ["InferenceEngine", "Prediction"]
-
-
-def _conv1_columns(model: TimingPredictor,
-                   images: np.ndarray) -> Columns:
-    """First-layer im2col columns of a path-image stack.
-
-    Weight-independent (only the kernel *shape* matters), so the result
-    can be cached per design and reused across any number of model
-    updates.
-    """
-    conv1 = model.extractor.cnn.conv1
-    return _im2col(images, conv1.weight.data.shape[2:], conv1.stride,
-                   conv1.padding)
 
 
 class Prediction:
@@ -117,44 +107,27 @@ class InferenceEngine:
     use_cache:
         Memoise per-design extractor outputs keyed by the weight
         digest.  Disable for strictly stateless serving.
-    transductive:
-        Fold each queried design's own (unlabeled) paths into the node
-        population before reading the prior — Equation (7)'s "all the
-        timing paths on the target node" (matches ``predict()``'s
-        default).
-    max_struct_entries, max_column_entries:
-        LRU bounds on the two weight-independent caches: the CNN's
-        first-layer im2col columns per design and (for
-        ``predict_many``) the union-graph batch structure per design
-        set.  Unlike the feature cache these survive model updates —
-        the inputs they derive from are immutable flow outputs — but
-        the columns are ~9x the image stack in memory.  A resident
-        process serving many distinct design *sets* would otherwise
-        keep one full union-graph batch per distinct request mix
-        forever; evictions are counted in :meth:`stats`.
-    cache_max_entries:
-        Optional LRU bound on the feature cache itself (None keeps the
-        historical one-entry-per-design behaviour).
+    max_struct_entries:
+        LRU bound on the weight-independent batch structures (union
+        graph, stacked path images, first-layer im2col columns) kept
+        per design set.  Unlike the feature cache these survive model
+        updates — the inputs they derive from are immutable flow
+        outputs — but a resident process serving many distinct design
+        *sets* would otherwise keep one full union-graph batch per
+        distinct request mix forever; evictions are counted in
+        :meth:`stats`.
     """
 
     def __init__(self, model: TimingPredictor, use_cache: bool = True,
-                 transductive: bool = True,
-                 max_struct_entries: Optional[int] = 8,
-                 max_column_entries: Optional[int] = 64,
-                 cache_max_entries: Optional[int] = None) -> None:
+                 max_struct_entries: Optional[int] = 8) -> None:
         self.model = model
         self.cache: Optional[FeatureCache] = \
-            FeatureCache(max_entries=cache_max_entries) \
-            if use_cache else None
-        self.transductive = transductive
+            FeatureCache() if use_cache else None
         #: Number of models served so far: 1 for the constructor's,
         #: bumped by :meth:`swap_model` under the write lock.
         self.generation = 1
-        #: (name, node) -> first-layer im2col columns of the design's
-        #: path images (weight-independent; LRU-bounded).
-        self._image_cols: BoundedLRU = BoundedLRU(max_column_entries)
-        #: design-set key -> (FusedDesignBatch, subsets, images, cols);
-        #: the union graph and stacked images are weight-independent.
+        #: content digests of a design set -> (FusedDesignBatch,
+        #: subsets, images, cols); all weight-independent.
         self._structs: BoundedLRU = BoundedLRU(max_struct_entries)
         #: Shared by predictions (read) and swap_model (write): a
         #: hot-reload is mutually exclusive with in-flight forwards.
@@ -167,66 +140,33 @@ class InferenceEngine:
         with timed("infer.digest"):
             return weight_digest(self.model)
 
-    def _columns_for(self, design: DesignData,
-                     images: np.ndarray) -> Columns:
-        """Cached first-layer columns for one design."""
-        key = (design.name, design.node)
-        cols = self._image_cols.get(key)
-        if cols is None:
-            cols = _conv1_columns(self.model, images)
-            self._image_cols.put(key, cols)
-        return cols
-
-    def _disentangle(self, u_graph: np.ndarray, u_layout: np.ndarray
-                     ) -> FeatureTriple:
-        """Concatenate the two modalities and split ``u -> (u_n, u_d)``."""
-        u = np.concatenate([u_graph, u_layout], axis=1)
-        with no_grad():
-            u_n, u_d = self.model.disentangler(Tensor(u))
-        return u, u_n.data, u_d.data
-
-    def features(self, design: DesignData) -> FeatureTriple:
-        """``(u, u_n, u_d)`` arrays over the design's full endpoint set."""
-        with self._rw.read(), no_grad():
-            digest = self._digest() if self.cache is not None else ""
-            if self.cache is not None:
-                hit = self.cache.lookup(design, digest)
-                if hit is not None:
-                    return hit
-            model = self.model
-            with timed("infer.features"):
-                images = design.path_image_stack()
-                u_graph = model.extractor.gnn(
-                    design.graph, design.graph.endpoint_rows).data
-                u_layout = model.extractor.cnn(
-                    Tensor(images),
-                    cols=self._columns_for(design, images)).data
-                triple = self._disentangle(u_graph, u_layout)
-            # Store only if the weights are still the ones the triple
-            # was computed under: a concurrent weight edit that slipped
-            # past swap_model must not publish stale features.
-            if self.cache is not None and self._digest() == digest:
-                self.cache.store(design, digest, triple)
-            return triple
-
     def _batch_struct(self, missed: Sequence[DesignData]) -> tuple:
         """Weight-independent batch structure for a set of designs:
-        union graph, full endpoint subsets, stacked images, columns."""
-        key = tuple((d.name, d.node) for d in missed)
+        union graph, full endpoint subsets, stacked images, columns.
+
+        Keyed by content digest, not ``(name, node)``: the same
+        benchmark rebuilt with other flow settings is another design.
+        """
+        key = tuple(d.content_digest() for d in missed)
         struct = self._structs.get(key)
         if struct is None:
             batch = FusedDesignBatch(list(missed))
             subsets = [np.arange(d.num_endpoints) for d in missed]
             images = batch.stacked_path_images(subsets)
-            cols = _conv1_columns(self.model, images)
+            # Only the kernel *shape* enters the columns, so they stay
+            # valid across any weight update of a same-geometry model.
+            conv1 = self.model.extractor.cnn.conv1
+            cols = _im2col(images, conv1.weight.data.shape[2:],
+                           conv1.stride, conv1.padding)
             struct = (batch, subsets, images, cols)
             self._structs.put(key, struct)
         return struct
 
     def _features_many(self, designs: Sequence[DesignData]
                        ) -> List[FeatureTriple]:
-        """Per-design triples, extracting every cache miss in ONE fused
-        forward (union graph sweep + stacked CNN)."""
+        """Per-design ``(u, u_n, u_d)`` over each full endpoint set,
+        extracting every cache miss in ONE fused forward (union graph
+        sweep + stacked CNN)."""
         digest = self._digest() if self.cache is not None else ""
         triples: List[Optional[FeatureTriple]] = [None] * len(designs)
         misses: List[int] = []
@@ -246,7 +186,9 @@ class InferenceEngine:
                 u_graph = model.extractor.gnn(batch.graph, rows).data
                 u_layout = model.extractor.cnn(Tensor(images),
                                                cols=cols).data
-                u, u_n, u_d = self._disentangle(u_graph, u_layout)
+                u = np.concatenate([u_graph, u_layout], axis=1)
+                u_n, u_d = model.disentangler(Tensor(u))
+                u_n, u_d = u_n.data, u_d.data
             # One digest recompute per coalesced batch: store the whole
             # batch's triples only if the weights did not change under
             # us while the fused forward ran.
@@ -276,12 +218,8 @@ class InferenceEngine:
         rows = []
         for design, (_, u_n, u_d) in zip(designs, triples):
             model._prior_weights(design.node)  # raises if not finalised
-            if self.transductive:
-                rows.append(model._prior_feature(design.node,
-                                                 extra_un=u_n,
-                                                 extra_ud=u_d))
-            else:
-                rows.append(model._prior_feature(design.node))
+            rows.append(model._prior_feature(design.node, extra_un=u_n,
+                                             extra_ud=u_d))
         with timed("infer.prior"), no_grad():
             mu, log_var = model.readout.weight_distribution(
                 Tensor(np.concatenate(rows, axis=0)))
@@ -305,24 +243,33 @@ class InferenceEngine:
         mean = u @ mu[0] + float(model.readout.bias.data[0])
         return mean, None
 
+    def _predict_one(self, design: DesignData,
+                     endpoint_subset: Optional[np.ndarray],
+                     mc_samples: int, rng: Optional[np.random.Generator],
+                     seed: int, with_std: bool
+                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One design through the fused path, optionally restricted to
+        an endpoint subset (which then also forms the transductive
+        population update, as in ``TimingPredictor.predict``)."""
+        with self._rw.read(), no_grad(), timed("infer.predict"):
+            triple = self._features_many([design])[0]
+            if endpoint_subset is not None:
+                idx = np.asarray(endpoint_subset)
+                triple = tuple(a[idx] for a in triple)
+            mu, log_var = self._batched_priors([design], [triple])
+            return self._readout(triple[0], mu, log_var, mc_samples, rng,
+                                 seed, with_std)
+
     def predict(self, design: DesignData,
                 endpoint_subset: Optional[np.ndarray] = None,
                 mc_samples: int = 0,
                 rng: Optional[np.random.Generator] = None,
                 seed: int = 0) -> np.ndarray:
-        """Arrival-time predictions, numerically matching
+        """Arrival-time predictions, bitwise equal to
         ``TimingPredictor.predict`` — minus the autograd machinery, and
         with warm calls skipping the GNN/CNN via the feature cache."""
-        with self._rw.read(), no_grad(), timed("infer.predict"):
-            u, u_n, u_d = self.features(design)
-            if endpoint_subset is not None:
-                idx = np.asarray(endpoint_subset)
-                u, u_n, u_d = u[idx], u_n[idx], u_d[idx]
-            mu, log_var = self.model._design_prior(
-                design, u_n, u_d, self.transductive)
-            mean, _ = self._readout(u, mu, log_var, mc_samples, rng,
-                                    seed, with_std=False)
-        return mean
+        return self._predict_one(design, endpoint_subset, mc_samples,
+                                 rng, seed, with_std=False)[0]
 
     def predict_with_uncertainty(self, design: DesignData,
                                  endpoint_subset: Optional[np.ndarray] = None,
@@ -331,17 +278,10 @@ class InferenceEngine:
                                  seed: int = 0
                                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Predictive mean and std per endpoint (cached features)."""
-        with self._rw.read(), no_grad(), timed("infer.predict"):
-            u, u_n, u_d = self.features(design)
-            if endpoint_subset is not None:
-                idx = np.asarray(endpoint_subset)
-                u, u_n, u_d = u[idx], u_n[idx], u_d[idx]
-            mu, log_var = self.model._design_prior(
-                design, u_n, u_d, transductive=True)
-            draw = rng if rng is not None else np.random.default_rng(seed)
-            preds = self.model._sample_prior_predictions(
-                u, mu, log_var, mc_samples, draw)
-        return preds.mean(axis=0), preds.std(axis=0)
+        if mc_samples <= 0:
+            raise ValueError("uncertainty needs mc_samples > 0")
+        return self._predict_one(design, endpoint_subset, mc_samples,
+                                 rng, seed, with_std=True)
 
     def predict_many(self, designs: Sequence[DesignData],
                      mc_samples: int = 0,
@@ -364,11 +304,9 @@ class InferenceEngine:
             mu_all, lv_all = self._batched_priors(designs, triples)
             out: Dict[str, Prediction] = {}
             for i, (design, (u, _, _)) in enumerate(zip(designs, triples)):
-                draw = rng if rng is not None else \
-                    np.random.default_rng(seed)
                 mean, std = self._readout(
                     u, mu_all[i:i + 1], lv_all[i:i + 1], mc_samples,
-                    draw, seed, with_std=with_uncertainty)
+                    rng, seed, with_std=with_uncertainty)
                 out[design.name] = Prediction(design.name, design.node,
                                               mean, std, self.generation)
         return out
@@ -384,8 +322,8 @@ class InferenceEngine:
         request sees the old weights or the new, never a mixture, and
         ``generation`` advances with the weights.  The
         feature cache needs no flush — its entries are digest-keyed, so
-        the new weights simply miss.  The weight-independent structure
-        caches survive unless the new model's first conv layer has a
+        the new weights simply miss.  The batch-structure cache
+        survives unless the new model's first conv layer has a
         different geometry (then the cached im2col columns are shaped
         for the wrong kernel and are dropped).
         """
@@ -398,20 +336,18 @@ class InferenceEngine:
             self.model = model
             self.generation += 1
             if not compatible:
-                self._image_cols.clear()
                 self._structs.clear()
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss/entry counters (zeros when the cache is disabled)."""
         if self.cache is None:
-            return {"hits": 0, "misses": 0, "entries": 0, "evictions": 0}
+            return {"hits": 0, "misses": 0, "entries": 0}
         return self.cache.stats()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Entry/eviction counters for every cache tier (for /stats)."""
+        """Counters for both cache tiers (for /stats)."""
         return {
             "features": self.cache_stats(),
             "structs": self._structs.stats(),
-            "image_columns": self._image_cols.stats(),
         }

@@ -2,7 +2,8 @@
 
 The argparse surface lives here (:func:`add_serve_arguments` /
 :func:`run_from_args`) so the top-level ``repro`` CLI can delegate
-without duplicating flags.
+without duplicating flags; :func:`model_from_args` is the model
+loading shared with ``repro predict``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-window-ms", type=float, default=2.0,
                         help="how long the first request of a batch "
                              "waits for companions to coalesce "
-                             "(0 disables coalescing)")
+                             "(0 serves each request on its handler "
+                             "thread, without a coalescer)")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="cap on requests fused into one sweep")
     parser.add_argument("--poll-interval", type=float, default=0.0,
@@ -38,8 +40,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-struct-entries", type=int, default=8,
                         help="LRU bound on cached union-graph batch "
                              "structures")
-    parser.add_argument("--max-column-entries", type=int, default=64,
-                        help="LRU bound on cached im2col column maps")
     parser.add_argument("--no-warmup", action="store_true",
                         help="skip the startup sweep that primes the "
                              "feature cache for every served design")
@@ -52,10 +52,38 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default $REPRO_CACHE_DIR)")
 
 
+def model_from_args(args: argparse.Namespace, dataset):
+    """The predictor ``repro predict`` / ``repro serve`` serve.
+
+    Loads the ``--model`` checkpoint, or without one trains a model for
+    ``--train-steps`` on the dataset's train split.  Returns None (after
+    printing why) when the checkpoint's input width does not match the
+    dataset's features.
+    """
+    if args.model:
+        from ..infer import load_predictor
+
+        model = load_predictor(args.model)
+        if model.init_config["in_features"] != dataset.in_features:
+            print(f"checkpoint expects "
+                  f"{model.init_config['in_features']} input features, "
+                  f"dataset has {dataset.in_features}")
+            return None
+        return model
+    from ..model import TimingPredictor
+    from ..train import OursTrainer, TrainConfig
+
+    print(f"no --model given; training for {args.train_steps} "
+          f"steps ...")
+    model = TimingPredictor(dataset.in_features, seed=args.seed)
+    OursTrainer(model, dataset.train,
+                TrainConfig(steps=args.train_steps, seed=args.seed)).fit()
+    return model
+
+
 def run_from_args(args: argparse.Namespace) -> int:
     """Build the dataset + model, then serve until interrupted."""
     from ..experiments import build_dataset
-    from ..infer import load_predictor
     from ..util import reset_timings
     from .server import PredictionServer, ServerConfig, warm_up
 
@@ -64,31 +92,15 @@ def run_from_args(args: argparse.Namespace) -> int:
                             use_cache=not args.no_flow_cache,
                             cache_dir=args.cache_dir)
     designs = dataset.train + dataset.test
-    if args.model:
-        model = load_predictor(args.model)
-        if model.init_config["in_features"] != dataset.in_features:
-            print(f"checkpoint expects "
-                  f"{model.init_config['in_features']} input features, "
-                  f"dataset has {dataset.in_features}")
-            return 1
-    else:
-        from ..model import TimingPredictor
-        from ..train import OursTrainer, TrainConfig
-
-        print(f"no --model given; training for {args.train_steps} "
-              f"steps ...")
-        model = TimingPredictor(dataset.in_features, seed=args.seed)
-        trainer = OursTrainer(
-            model, dataset.train,
-            TrainConfig(steps=args.train_steps, seed=args.seed))
-        trainer.fit()
+    model = model_from_args(args, dataset)
+    if model is None:
+        return 1
 
     config = ServerConfig(host=args.host, port=args.port,
                           batch_window_ms=args.batch_window_ms,
                           max_batch=args.max_batch,
                           poll_interval=args.poll_interval,
-                          max_struct_entries=args.max_struct_entries,
-                          max_column_entries=args.max_column_entries)
+                          max_struct_entries=args.max_struct_entries)
     server = PredictionServer(designs, model, model_path=args.model,
                               config=config)
     if not args.no_warmup:

@@ -65,14 +65,12 @@ class ServerConfig:
     """Knobs of one serving process (CLI flags map 1:1 onto these)."""
 
     __slots__ = ("host", "port", "batch_window_ms", "max_batch",
-                 "poll_interval", "mc_samples", "max_struct_entries",
-                 "max_column_entries", "latency_window")
+                 "poll_interval", "max_struct_entries", "latency_window")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  batch_window_ms: float = 2.0, max_batch: int = 32,
                  poll_interval: float = 0.0,
                  max_struct_entries: int = 8,
-                 max_column_entries: int = 64,
                  latency_window: int = 4096) -> None:
         self.host = host
         self.port = port
@@ -80,7 +78,6 @@ class ServerConfig:
         self.max_batch = max_batch
         self.poll_interval = poll_interval
         self.max_struct_entries = max_struct_entries
-        self.max_column_entries = max_column_entries
         self.latency_window = latency_window
 
 
@@ -97,11 +94,9 @@ class ModelContainer:
 
     def __init__(self, model: TimingPredictor,
                  model_path: Union[str, Path, None] = None,
-                 max_struct_entries: int = 8,
-                 max_column_entries: int = 64) -> None:
+                 max_struct_entries: int = 8) -> None:
         self.engine = InferenceEngine(
-            model, max_struct_entries=max_struct_entries,
-            max_column_entries=max_column_entries)
+            model, max_struct_entries=max_struct_entries)
         self.model_path = Path(model_path) if model_path else None
         self._lock = threading.Lock()
         self.digest = weight_digest(model)
@@ -391,8 +386,7 @@ class PredictionServer:
         self.config = config or ServerConfig()
         self.container = ModelContainer(
             model, model_path,
-            max_struct_entries=self.config.max_struct_entries,
-            max_column_entries=self.config.max_column_entries)
+            max_struct_entries=self.config.max_struct_entries)
         self.service = PredictionService(designs, self.container,
                                          self.config)
         handler = type("BoundHandler", (_Handler,),

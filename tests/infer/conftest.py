@@ -14,10 +14,16 @@ from repro.techlib import make_asap7_library, make_sky130_library
 
 
 @pytest.fixture(scope="module")
-def designs():
+def flow_inputs():
+    """``(libraries, vocab)`` the fixture designs were built with."""
     libraries = {"130nm": make_sky130_library(),
                  "7nm": make_asap7_library()}
-    vocab = GateVocabulary(list(libraries.values()))
+    return libraries, GateVocabulary(list(libraries.values()))
+
+
+@pytest.fixture(scope="module")
+def designs(flow_inputs):
+    libraries, vocab = flow_inputs
     out = [
         run_flow("usbf_device", "7nm", libraries, vocab=vocab,
                  resolution=16),

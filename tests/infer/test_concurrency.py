@@ -67,7 +67,7 @@ class TestBoundedLRU:
 
 
 # ----------------------------------------------------------------------
-# Bounded weight-independent engine caches
+# Bounded weight-independent structure cache
 # ----------------------------------------------------------------------
 class TestBoundedEngineCaches:
     def test_struct_cache_respects_bound(self, model, designs,
@@ -88,15 +88,6 @@ class TestBoundedEngineCaches:
         assert stats["entries"] <= 2
         assert stats["evictions"] >= 1
         assert stats["max_entries"] == 2
-
-    def test_image_columns_respect_bound(self, model, designs):
-        engine = InferenceEngine(model, use_cache=False,
-                                 max_column_entries=1)
-        for d in designs:
-            engine.predict(d)
-        stats = engine.stats()["image_columns"]
-        assert stats["entries"] <= 1
-        assert stats["evictions"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -261,13 +252,11 @@ class TestSwapModel:
             self, model, designs):
         narrow = self._trained(designs, seed=5, cnn_channels=4)
         engine = InferenceEngine(model)
-        engine.predict(designs[0])   # cold: populates per-design columns
+        engine.predict(designs[0])   # cold: caches a one-design batch
         engine.predict_many(designs)
-        assert engine.stats()["structs"]["entries"] >= 1
-        assert engine.stats()["image_columns"]["entries"] >= 1
+        assert engine.stats()["structs"]["entries"] == 2
         engine.swap_model(narrow)
         assert engine.stats()["structs"]["entries"] == 0
-        assert engine.stats()["image_columns"]["entries"] == 0
         # And the swapped-in model actually serves.
         np.testing.assert_allclose(engine.predict(designs[0]),
                                    narrow.predict(designs[0]),

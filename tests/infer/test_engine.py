@@ -7,6 +7,8 @@ MC, and after a serialization round-trip."""
 import numpy as np
 import pytest
 
+from repro.features import normalize_features
+from repro.flow import run_flow
 from repro.infer import (
     InferenceEngine,
     Prediction,
@@ -45,13 +47,6 @@ class TestPredictEquivalence:
         out = engine.predict(design, mc_samples=8, seed=7)
         np.testing.assert_allclose(out, ref, atol=ATOL)
 
-    def test_non_transductive_matches(self, model, designs):
-        engine = InferenceEngine(model, transductive=False)
-        design = designs[0]
-        ref = model.predict(design, transductive=False)
-        out = engine.predict(design)
-        np.testing.assert_allclose(out, ref, atol=ATOL)
-
     def test_uncertainty_matches_seed_path(self, model, designs):
         engine = InferenceEngine(model)
         design = designs[1]
@@ -70,7 +65,76 @@ class TestPredictEquivalence:
                                        reference[design.name],
                                        atol=ATOL)
         assert engine.cache_stats() == {"hits": 0, "misses": 0,
-                                        "entries": 0, "evictions": 0}
+                                        "entries": 0}
+
+
+class TestSinglePath:
+    """``predict`` / ``predict_with_uncertainty`` are views over the
+    fused ``predict_many`` path, not a second extraction."""
+
+    def test_single_design_calls_equal_predict_many(self, model,
+                                                    designs):
+        for design in designs:
+            fused = InferenceEngine(model).predict_many(
+                [design], mc_samples=8, with_uncertainty=True,
+                seed=4)[design.name]
+            plain = InferenceEngine(model).predict_many(
+                [design])[design.name]
+            engine = InferenceEngine(model)
+            np.testing.assert_array_equal(engine.predict(design),
+                                          plain.mean)
+            np.testing.assert_array_equal(
+                engine.predict(design, mc_samples=8, seed=4), fused.mean)
+            mean, std = engine.predict_with_uncertainty(
+                design, mc_samples=8, seed=4)
+            np.testing.assert_array_equal(mean, fused.mean)
+            np.testing.assert_array_equal(std, fused.std)
+
+    def test_cold_predict_builds_its_batch_through_batch_struct(
+            self, model, designs, monkeypatch):
+        calls = []
+        original = InferenceEngine._batch_struct
+
+        def spy(self, missed):
+            calls.append([d.name for d in missed])
+            return original(self, missed)
+
+        monkeypatch.setattr(InferenceEngine, "_batch_struct", spy)
+        engine = InferenceEngine(model)
+        engine.predict(designs[0])
+        engine.predict(designs[0])   # warm: served from the cache
+        assert calls == [[designs[0].name]]
+        assert engine.stats()["structs"]["entries"] == 1
+
+    def test_uncertainty_without_samples_raises(self, model, designs):
+        with pytest.raises(ValueError):
+            InferenceEngine(model).predict_with_uncertainty(
+                designs[0], mc_samples=0)
+
+
+class TestStructureCacheIdentity:
+    def test_same_name_and_node_other_content_is_not_stale(
+            self, model, designs, flow_inputs):
+        """A design rebuilt at another resolution keeps its name and
+        node but not its content; the engine must not hand it the
+        first build's graph, images or im2col columns."""
+        libraries, vocab = flow_inputs
+        first = designs[1]
+        rebuilt = run_flow(first.name, first.node, libraries,
+                           vocab=vocab, resolution=24)
+        normalize_features([rebuilt.graph])
+        assert rebuilt.content_digest() != first.content_digest()
+        # No feature cache: every call below extracts, so each one
+        # goes through the structure cache.
+        engine = InferenceEngine(model, use_cache=False)
+        engine.predict(first)
+        engine.predict_many([first])
+        ref = model.predict(rebuilt)
+        np.testing.assert_allclose(engine.predict(rebuilt), ref,
+                                   atol=ATOL)
+        np.testing.assert_allclose(
+            engine.predict_many([rebuilt])[rebuilt.name].mean, ref,
+            atol=ATOL)
 
 
 class TestPredictMany:

@@ -66,9 +66,9 @@ class TestFusing:
         assert stats["largest_batch"] <= 2
         assert stats["batches"] >= 2
 
-    def test_window_zero_means_single_request_batches(self, engine,
-                                                      designs):
-        with RequestCoalescer(engine, batch_window_ms=0.0) as co:
+    def test_max_batch_one_means_single_request_batches(self, engine,
+                                                        designs):
+        with RequestCoalescer(engine, max_batch=1) as co:
             handles = [co.submit(designs[i % 2]) for i in range(3)]
             for h in handles:
                 h.wait(timeout=30.0)
@@ -161,7 +161,7 @@ class TestErrorsAndShutdown:
             raise RuntimeError("interrupted")
 
         engine.predict_many = stall
-        co = RequestCoalescer(engine, batch_window_ms=0.0)
+        co = RequestCoalescer(engine, max_batch=1)
         handle = co.submit(designs[0])
         slow.wait(timeout=5.0)
         late = co.submit(designs[1])   # queued behind the stalled sweep
@@ -175,6 +175,8 @@ class TestErrorsAndShutdown:
         with pytest.raises(ValueError):
             RequestCoalescer(engine, batch_window_ms=-1.0)
         with pytest.raises(ValueError):
+            RequestCoalescer(engine, batch_window_ms=0.0)
+        with pytest.raises(ValueError):
             RequestCoalescer(engine, max_batch=0)
 
     def test_wait_timeout(self, engine, designs):
@@ -183,7 +185,7 @@ class TestErrorsAndShutdown:
             raise RuntimeError("too slow")
 
         engine.predict_many = stall
-        with RequestCoalescer(engine, batch_window_ms=0.0) as co:
+        with RequestCoalescer(engine, max_batch=1) as co:
             handle = co.submit(designs[0])
             with pytest.raises(TimeoutError):
                 handle.wait(timeout=0.05)

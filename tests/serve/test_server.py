@@ -319,3 +319,17 @@ class TestConfigAndLifecycle:
             stats = srv.container.engine.cache_stats()
         assert warmed == len(designs)
         assert stats["entries"] == len(designs)
+
+    def test_model_from_args_loads_and_checks_width(self, model,
+                                                    model_file, capsys):
+        from argparse import Namespace
+
+        from repro.serve.__main__ import model_from_args
+
+        width = model.init_config["in_features"]
+        args = Namespace(model=str(model_file), train_steps=0, seed=0)
+        loaded = model_from_args(args, Namespace(in_features=width))
+        assert weight_digest(loaded) == weight_digest(model)
+        assert model_from_args(
+            args, Namespace(in_features=width + 1)) is None
+        assert "input features" in capsys.readouterr().out
